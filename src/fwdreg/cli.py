@@ -18,14 +18,21 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from . import oracle, theory_bounds
-from .core_linalg import Dataset, column_moments, gram, least_squares_on_support
+from .core_linalg import (
+    Dataset,
+    column_moments,
+    gram,
+    least_squares_on_support,
+    standardize,
+)
 from .errors import (
     BudgetExceeded,
     FwdregError,
@@ -76,7 +83,9 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     """Read a data CSV: (covariate names, raw design, response or None).
 
     The response column must be named "y"; if absent, every column is a
-    covariate (useful for sparse-eig).
+    covariate (useful for sparse-eig). Raises ValueError for an empty
+    file, a duplicate column name, a non-numeric or non-finite cell, or a
+    row whose width differs from the header.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -88,12 +97,22 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     header = [h.strip() for h in header]
+    dupes = [h for h, count in Counter(header).items() if count > 1]
+    if dupes:
+        raise ValueError(f"{path}: duplicate column name {dupes[0]!r}")
     try:
         data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric cell ({exc})") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: row width does not match header")
+    # reject NaN and inf here, before any arithmetic can spread them
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value in column {header[col]!r}, row {row + 1}"
+        )
     if "y" in header:
         yi = header.index("y")
         names = [h for i, h in enumerate(header) if i != yi]
@@ -110,6 +129,28 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
             writer.writerow(row)
 
 
+def read_dataset(path: str) -> tuple[list[str], Dataset, np.ndarray, np.ndarray, float]:
+    """Read a CSV into a Dataset of standardized covariates and centred "y":
+    (names, dataset, column means, column scales, mean of y)."""
+    names, raw, y = read_csv(path)
+    if y is None:
+        raise ValueError(f"{path}: no response column named 'y'")
+    mean, scale = column_moments(raw)
+    y_mean = float(y.mean())
+    ds = Dataset(x=(raw - mean) / scale, y=y - y_mean)
+    return names, ds, mean, scale, y_mean
+
+
+def _fan_out(worker: Callable, jobs: Sequence, threads: int) -> list:
+    """Run ``worker`` on every job over ``threads`` threads. Results come
+    back in job order and a worker's error is re-raised, so the thread
+    count changes neither the output nor the exit code."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, jobs))
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -117,17 +158,7 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
 def fit_csv(path: str, t: float) -> dict:
     """Standardize, run forward regression and express coefficients in the
     original units of the input columns."""
-    names, raw, y = read_csv(path)
-    if y is None:
-        raise ValueError(f"{path}: no response column named 'y'")
-    mean, scale = column_moments(raw)
-    floor = 1e-13 * (np.abs(mean) + 1.0)
-    bad = np.flatnonzero(scale <= floor)
-    if bad.size:
-        raise ZeroVarianceColumn(int(bad[0]))
-    x = (raw - mean) / scale
-    y_mean = float(y.mean())
-    ds = Dataset(x=x, y=y - y_mean)
+    names, ds, mean, scale, y_mean = read_dataset(path)
     fr = forward_regression(ds, t)
 
     # back-transformation: standardized slope b maps to b / scale in the
@@ -233,11 +264,7 @@ def run_verify(
     def worker(rep: int) -> dict:
         return _verify_one(cfg, rep, safety, phi_size, eig_budget, timing)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(worker, range(replications)))
-    else:
-        records = [worker(rep) for rep in range(replications)]
+    records = _fan_out(worker, range(replications), threads)
 
     all_pass = all(
         r["pred_bound_holds"] and r["count_bound_holds"]
@@ -323,11 +350,7 @@ def run_rates(
         return fr.pred_error_norm, fr.s_hat
 
     jobs = [(gi, rep) for gi in range(len(n_grid)) for rep in range(replications)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, jobs))
-    else:
-        results = [worker(job) for job in jobs]
+    results = _fan_out(worker, jobs, threads)
 
     rows = []
     for gi, n in enumerate(n_grid):
@@ -391,12 +414,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 def cmd_sparse_eig(args: argparse.Namespace) -> int:
     names, raw, _y = read_csv(args.input)
-    mean, scale = column_moments(raw)
-    floor = 1e-13 * (np.abs(mean) + 1.0)
-    bad = np.flatnonzero(scale <= floor)
-    if bad.size:
-        raise ZeroVarianceColumn(int(bad[0]))
-    x = (raw - mean) / scale
+    x = standardize(raw)
     ds = Dataset(x=x, y=np.zeros(x.shape[0]))
     g = gram(ds)
     if args.mode == "exact":
@@ -438,16 +456,7 @@ def compare_csv(path: str, t: float, k: Optional[int] = None) -> dict:
     the full selected size), refit by least squares; the exhaustive side
     is the best size-k subset.
     """
-    names, raw, y = read_csv(path)
-    if y is None:
-        raise ValueError(f"{path}: no response column named 'y'")
-    mean, scale = column_moments(raw)
-    floor = 1e-13 * (np.abs(mean) + 1.0)
-    bad = np.flatnonzero(scale <= floor)
-    if bad.size:
-        raise ZeroVarianceColumn(int(bad[0]))
-    x = (raw - mean) / scale
-    ds = Dataset(x=x, y=y - float(y.mean()))
+    names, ds, *_moments = read_dataset(path)
     fr = forward_regression(ds, t)
     k = fr.s_hat if k is None else int(k)
 

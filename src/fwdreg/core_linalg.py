@@ -69,29 +69,32 @@ class Dataset:
 
 
 def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and sqrt of the biased (1/n) central second moment."""
-    raw = np.asarray(raw, dtype=float)
-    mean = raw.mean(axis=0)
-    scale = np.sqrt(((raw - mean) ** 2).mean(axis=0))
-    return mean, scale
+    """Per-column mean and sqrt of the biased (1/n) central second moment.
 
-
-def standardize(raw: np.ndarray) -> np.ndarray:
-    """Center each column and scale it to unit (1/n) second moment.
-
-    Raises ZeroVarianceColumn for a constant column; the caller must drop
-    it or fail.
+    Raises ValueError unless ``raw`` is a 2-d matrix with at least two
+    rows, and ZeroVarianceColumn for a constant column (scale within
+    rounding of zero relative to its mean); the caller must drop it or
+    fail.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError("expected a 2-d design matrix")
     if raw.shape[0] < 2:
         raise ValueError("standardization needs at least two observations")
-    mean, scale = column_moments(raw)
-    floor = 1e-13 * (np.abs(mean) + 1.0)
-    bad = np.flatnonzero(scale <= floor)
+    mean = raw.mean(axis=0)
+    scale = np.sqrt(((raw - mean) ** 2).mean(axis=0))
+    bad = np.flatnonzero(scale <= 1e-13 * (np.abs(mean) + 1.0))
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
+    return mean, scale
+
+
+def standardize(raw: np.ndarray) -> np.ndarray:
+    """Center each column and scale it to unit (1/n) second moment.
+
+    Raises as ``column_moments`` does.
+    """
+    mean, scale = column_moments(raw)
     return (raw - mean) / scale
 
 

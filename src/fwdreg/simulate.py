@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .core_linalg import Dataset, column_moments
-from .errors import MissingGroundTruth, NonpositiveEigenvalue
+from .errors import NonpositiveEigenvalue
+from .theory_bounds import noise_covariate_sup
 
 DESIGNS = ("independent", "equicorrelated", "toeplitz")
 THETA_PATTERNS = ("constant", "decaying", "signed_alternating")
@@ -118,13 +119,11 @@ def oracle_threshold(ds: Dataset, phi: float, safety: float = 1.0) -> ThresholdC
     deliberately isolates bound verification from feasible threshold
     selection. A degenerate t below THRESHOLD_FLOOR is floored and flagged.
     """
-    if ds.epsilon is None:
-        raise MissingGroundTruth("oracle threshold needs the true disturbances")
+    noise_sup = noise_covariate_sup(ds)
     if phi <= 0:
         raise NonpositiveEigenvalue(f"phi = {phi}")
     if safety < 1:
         raise ValueError("safety factor must be >= 1")
-    noise_sup = float(np.max(np.abs(ds.x.T @ ds.epsilon / ds.n)))
     t = (safety * 2.0 * noise_sup / phi) ** 2
     if t < THRESHOLD_FLOOR:
         return ThresholdChoice(t=THRESHOLD_FLOOR, floored=True)

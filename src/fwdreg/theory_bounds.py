@@ -182,11 +182,11 @@ def constant_c1(
     return math.sqrt(s_hat + s0) / phi * (2.0 * noise_sup + math.sqrt(t))
 
 
-def constant_c2(m: int, s0: int, phi: float) -> float:
+def constant_c2(phi: float) -> float:
     """Selection-count bound constant: 1 + 72 * 1.783^2 * phi^{-5}.
 
-    phi is the minimum sparse eigenvalue at size m + s0; m and s0 are kept
-    in the signature to document which eigenvalue size the caller owes.
+    The count bound m <= c2 * s0 uses phi = phi_min(m + s0), the minimum
+    sparse eigenvalue at m false selections plus the true support.
     """
     if phi <= 0:
         raise NonpositiveEigenvalue(f"phi = {phi}")
@@ -222,20 +222,6 @@ def exact_eig_source(
     def source(size: int) -> SparseEigReport:
         if size not in cache:
             cache[size] = sparse_eig_exact(g, size, budget=budget)
-        return cache[size]
-
-    return source
-
-
-def sampled_eig_source(
-    g: np.ndarray, draws: int, seed: int
-) -> EigSource:
-    """Memoized size -> sampled SparseEigReport lookup on one Gram matrix."""
-    cache: dict[int, SparseEigReport] = {}
-
-    def source(size: int) -> SparseEigReport:
-        if size not in cache:
-            cache[size] = sparse_eig_sampled(g, size, draws=draws, seed=seed)
         return cache[size]
 
     return source
@@ -277,7 +263,7 @@ def verify_theorem1(
             continue
         if m == 0:
             threshold_ok = True
-        c2 = constant_c2(m, s0, rep.value)
+        c2 = constant_c2(rep.value)
         checks.append(C2Check(m=m, c2=c2, holds=m <= c2 * s0))
 
     eig_method = "sampled" if "sampled" in methods else "exact"

@@ -89,6 +89,43 @@ class TestFit:
                      "-o", str(tmp_path / "o.json")])
         assert code == EXIT_INPUT
 
+    def test_duplicate_column_name(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        write_rows(path, ["a", "a", "y"],
+                   [[1.0, 0.0, 1.0], [2.0, 1.0, 0.0], [3.0, 0.0, 2.0]])
+        code = main(["fit", "-i", str(path), "-t", "0.1",
+                     "-o", str(tmp_path / "o.json")])
+        assert code == EXIT_INPUT
+        assert "duplicate column name 'a'" in capsys.readouterr().err
+
+    def test_single_row(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        write_rows(path, ["x1", "y"], [[1.0, 2.0]])
+        code = main(["fit", "-i", str(path), "-t", "0.1",
+                     "-o", str(tmp_path / "o.json")])
+        assert code == EXIT_INPUT
+        assert "needs at least two observations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, header, bad_row, column",
+    [
+        (["fit", "-t", "0.1"], ["x1", "x2", "y"], [1.0, 0.5, float("nan")], "y"),
+        (["fit", "-t", "0.1"], ["x1", "x2", "y"], [1.0, float("inf"), 0.5], "x2"),
+        (["sparse-eig", "--s", "1"], ["x1", "x2"], [float("nan"), 0.5], "x1"),
+    ],
+)
+def test_non_finite_cell_rejected(tmp_path, capsys, command, header, bad_row, column):
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((5, len(header))).tolist() + [bad_row]
+    path = tmp_path / "d.csv"
+    write_rows(path, header, rows)
+    out = tmp_path / "o.json"
+    code = main(command + ["-i", str(path), "-o", str(out)])
+    assert code == EXIT_INPUT
+    assert f"non-finite value in column '{column}'" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestVerifyCommand:
     def _config(self, tmp_path, **overrides):
@@ -134,6 +171,13 @@ class TestVerifyCommand:
                      "--phi-size", "8", "-o", str(tmp_path / "o.json")])
         assert code == EXIT_INPUT
 
+    def test_rejects_zero_threads(self, tmp_path, capsys):
+        code = main(["verify", "--config", self._config(tmp_path),
+                     "--replications", "2", "--threads", "0",
+                     "-o", str(tmp_path / "o.json")])
+        assert code == EXIT_INPUT
+        assert "threads must be >= 1" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 100}))
@@ -162,6 +206,28 @@ class TestRates:
         assert lines[0] == "n,median_pred_error_norm,median_s_hat"
         assert len(lines) == 5
         assert "slope" in capsys.readouterr().out
+
+    def test_thread_count_does_not_change_csv(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            dict(n=100, p=10, s0=2, noise_sd=1.0, seed=5)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"rates{threads}.csv"
+            assert main(["rates", "--config", str(cfg_path),
+                         "--n-grid", "100,200,400,800", "--replications", "5",
+                         "--threads", threads, "-o", str(out)]) == EXIT_OK
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    def test_rejects_zero_threads(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(n=100, p=10, s0=2, seed=5)))
+        code = main(["rates", "--config", str(cfg_path),
+                     "--n-grid", "100,200,400,800", "--replications", "2",
+                     "--threads", "0", "-o", str(tmp_path / "rates.csv")])
+        assert code == EXIT_INPUT
+        assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_rejects_short_grid(self):
         cfg = SimConfig(n=50, p=10, s0=2, seed=1)

@@ -119,13 +119,13 @@ class TestConstants:
             constant_c1(1, 1, 0.0, 0.1, 0.01)
 
     def test_c2_at_unit_phi(self):
-        assert constant_c2(0, 1, 1.0) == pytest.approx(229.894408, abs=5e-7)
+        assert constant_c2(1.0) == pytest.approx(229.894408, abs=5e-7)
 
     def test_c2_at_half_phi(self):
-        assert constant_c2(0, 1, 0.5) == pytest.approx(7325.621056, abs=2e-5)
+        assert constant_c2(0.5) == pytest.approx(7325.621056, abs=2e-5)
 
     def test_c2_monotone_in_phi(self):
-        assert constant_c2(1, 1, 0.4) > constant_c2(1, 1, 0.8)
+        assert constant_c2(0.4) > constant_c2(0.8)
 
     def test_c2_floor(self):
         # phi <= 1 on standardized designs, so c2 never drops below the
@@ -136,7 +136,7 @@ class TestConstants:
         for _ in range(5):
             g = random_gram(rng, 30, 6)
             phi = sparse_eig_exact(g, 3).value
-            assert constant_c2(1, 1, phi) >= floor - 1e-9
+            assert constant_c2(phi) >= floor - 1e-9
 
 
 class TestThresholdCondition:
