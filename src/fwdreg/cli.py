@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -53,29 +52,9 @@ EXIT_BOUND_FAILURE = 4
 # I/O helpers
 
 
-def _jsonify(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays and dataclasses to plain
-    Python types so json.dumps emits shortest round-trip decimals."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -83,27 +62,29 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     """Read a data CSV: (covariate names, raw design, response or None).
 
     The response column must be named "y"; if absent, every column is a
-    covariate (useful for sparse-eig). Raises ValueError for an empty
-    file, a duplicate column name, a non-numeric or non-finite cell, or a
-    row whose width differs from the header.
+    covariate (useful for sparse-eig). Cells may be double-quoted, blank
+    lines are skipped and "#" is an ordinary character, not a comment.
+    Raises ValueError for an empty file, a file without data rows, a
+    duplicate column name, a non-numeric or non-finite cell, or a row
+    whose width differs from the header or from the rows before it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    if not rows:
+        lines = fh.readlines()
+    # checked before parsing, so numpy never warns about empty input
+    if not any(line.strip() for line in lines):
         raise ValueError(f"{path}: no data rows")
     header = [h.strip() for h in header]
     dupes = [h for h, count in Counter(header).items() if count > 1]
     if dupes:
         raise ValueError(f"{path}: duplicate column name {dupes[0]!r}")
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric cell ({exc})") from None
+        raise ValueError(f"{path}: {exc}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: row width does not match header")
     # reject NaN and inf here, before any arithmetic can spread them
@@ -192,15 +173,20 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # verify
 
 
+def default_phi_size(cfg: SimConfig) -> int:
+    """Sparse-eigenvalue size behind the oracle threshold: twice the true
+    support size, capped at p."""
+    return min(cfg.p, max(2 * cfg.s0, 1))
+
+
 def _verify_one(
-    cfg: SimConfig, rep: int, safety: float, phi_size: int,
-    eig_budget: int, timing: bool,
+    cfg: SimConfig, rep: int, safety: float, phi_size: int, timing: bool
 ) -> dict:
     started = time.perf_counter()
     rep_cfg = replace(cfg, seed=cfg.seed + rep)
     ds = simulate_dataset(rep_cfg)
     g = gram(ds)
-    eig = theory_bounds.exact_eig_source(g, budget=eig_budget)
+    eig = theory_bounds.exact_eig_source(g)
     phi = eig(phi_size).value
     t = oracle_threshold(ds, phi, safety=safety).t
     fr = forward_regression(ds, t)
@@ -250,7 +236,6 @@ def run_verify(
     phi_size: Optional[int] = None,
     threads: int = 1,
     timing: bool = False,
-    eig_budget: int = theory_bounds.DEFAULT_SUBSET_BUDGET,
 ) -> tuple[dict, bool]:
     """Simulate, fit and bound-check ``replications`` seeds.
 
@@ -259,10 +244,10 @@ def run_verify(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    phi_size = phi_size if phi_size is not None else min(cfg.p, max(2 * cfg.s0, 1))
+    phi_size = default_phi_size(cfg) if phi_size is None else phi_size
 
     def worker(rep: int) -> dict:
-        return _verify_one(cfg, rep, safety, phi_size, eig_budget, timing)
+        return _verify_one(cfg, rep, safety, phi_size, timing)
 
     records = _fan_out(worker, range(replications), threads)
 
@@ -335,7 +320,7 @@ def run_rates(
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be increasing with at least 4 points")
-    phi_size = min(cfg.p, max(2 * cfg.s0, 1))
+    phi_size = default_phi_size(cfg)
 
     def worker(job: tuple[int, int]) -> tuple[float, int]:
         gi, rep = job
@@ -403,8 +388,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
             for r in summary["rows"]
         ],
     )
-    print(json.dumps(_jsonify({"slope": summary["slope"],
-                               "slope_flag": summary["slope_flag"]})))
+    print(json.dumps({"slope": summary["slope"],
+                      "slope_flag": summary["slope_flag"]}))
     return EXIT_OK
 
 

@@ -63,10 +63,6 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def has_ground_truth(self) -> bool:
-        return self.theta0 is not None
-
 
 def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and sqrt of the biased (1/n) central second moment.

@@ -28,8 +28,12 @@ from .forward_select import FitResult
 # constant; an absolute constant, not recomputed.
 GROTHENDIECK_BOUND = 1.783
 
-# Default cap on the total number of subsets an exact enumeration may visit.
+# Default cap on the number of subsets an exact enumeration may scan.
 DEFAULT_SUBSET_BUDGET = 10_000_000
+
+# Relative slack of the parameter-error chain in verify_theorem3, for
+# rounding in the error norms.
+THEOREM3_RTOL = 1e-9
 
 _CHUNK = 20_000
 
@@ -90,18 +94,16 @@ def sparse_eig_exact(
     Only subsets of size exactly min(s, p) are scanned: by Cauchy
     interlacing, deleting rows/columns of a principal submatrix can only
     raise the smallest eigenvalue, so smaller subsets are redundant.
-    Raises BudgetExceeded when the enumeration over all sizes <= s would
-    exceed ``budget``; callers should fall back to sparse_eig_sampled.
+    Raises BudgetExceeded when the C(p, min(s, p)) subsets to scan exceed
+    ``budget``; callers should fall back to sparse_eig_sampled.
     """
     p = g.shape[0]
     if s < 1:
         raise ValueError("subset size bound s must be >= 1")
     size = min(int(s), p)
-    total = sum(math.comb(p, k) for k in range(1, size + 1))
+    total = math.comb(p, size)
     if total > budget:
-        raise BudgetExceeded(
-            f"sum of C({p}, k) for k<={size} is {total} > budget {budget}"
-        )
+        raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}")
 
     best_val = math.inf
     best_wit: tuple[int, ...] = ()
@@ -213,15 +215,13 @@ def noise_covariate_sup(ds: Dataset) -> float:
 EigSource = Callable[[int], SparseEigReport]
 
 
-def exact_eig_source(
-    g: np.ndarray, budget: int = DEFAULT_SUBSET_BUDGET
-) -> EigSource:
+def exact_eig_source(g: np.ndarray) -> EigSource:
     """Memoized size -> exact SparseEigReport lookup on one Gram matrix."""
     cache: dict[int, SparseEigReport] = {}
 
     def source(size: int) -> SparseEigReport:
         if size not in cache:
-            cache[size] = sparse_eig_exact(g, size, budget=budget)
+            cache[size] = sparse_eig_exact(g, size)
         return cache[size]
 
     return source
@@ -278,9 +278,7 @@ def verify_theorem1(
     )
 
 
-def verify_theorem3(
-    fr: FitResult, eig: SparseEigReport, rtol: float = 1e-9
-) -> tuple[bool, bool]:
+def verify_theorem3(fr: FitResult, eig: SparseEigReport) -> tuple[bool, bool]:
     """Check the chained parameter-error inequalities
     l1 <= sqrt(s_hat + s0) * l2 <= sqrt(s_hat + s0) * phi^{-1} * pred_norm.
 
@@ -291,7 +289,7 @@ def verify_theorem3(
     if eig.value <= 0:
         raise NonpositiveEigenvalue(f"phi = {eig.value}")
     root = math.sqrt(eig.s)
-    slack = lambda v: v * (1.0 + rtol) + 1e-15  # noqa: E731
+    slack = lambda v: v * (1.0 + THEOREM3_RTOL) + 1e-15  # noqa: E731
     l1_ok = fr.l1_error <= slack(root * fr.l2_error)
     l2_ok = root * fr.l2_error <= slack(root / eig.value * fr.pred_error_norm)
     return l2_ok, l1_ok

@@ -127,6 +127,54 @@ def test_non_finite_cell_rejected(tmp_path, capsys, command, header, bad_row, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("x1,y\n", "no data rows"),
+        ("x1,x2,y\n1,2,3\n4,5\n6,7,8\n", "number of columns changed"),
+        ("x1,y\n1,2,3\n4,5,6\n7,8,9\n", "row width does not match header"),
+        ("x1,x2,y\n1,2\n4,5\n7,8\n", "row width does not match header"),
+        ("x1,y\n1,2 #c\n4,5\n7,8\n", "could not convert string '2 #c'"),
+    ],
+    ids=["empty", "header_only", "ragged", "wider", "narrower", "hash_in_cell"],
+)
+def test_malformed_csv_rejected(tmp_path, capsys, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    out = tmp_path / "o.json"
+    code = main(["fit", "-t", "0.1", "-i", str(path), "-o", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err
+    assert "non-numeric" not in err
+    assert not out.exists()
+
+
+def test_quoted_cells_and_blank_lines_accepted(tmp_path):
+    rng = np.random.default_rng(6)
+    header = ["x1", "x2", "x3", "y"]
+    rows = [repr(v) for v in rng.standard_normal(48).tolist()]
+    rows = [rows[i:i + 4] for i in range(0, 48, 4)]
+    rows[0] = [" 2.25 ", ".5", "1E-3", "-0"]
+    rows[1] = ["5.", "4.9e-324", "-1e3", "+7"]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_rows(plain, header, rows)
+    with open(quoted, "w", newline="") as fh:
+        w = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+            fh.write("\n")
+    # Python's float() is the reference parse, bit for bit
+    reference = np.array([[float(v) for v in row] for row in rows])
+    for path in (plain, quoted):
+        names, raw, y = read_csv(str(path))
+        assert names == header[:3]
+        assert np.column_stack([raw, y]).tobytes() == reference.tobytes()
+    assert fit_csv(str(quoted), t=0.05) == fit_csv(str(plain), t=0.05)
+
+
 class TestVerifyCommand:
     def _config(self, tmp_path, **overrides):
         cfg = dict(n=100, p=20, s0=2, design="independent", rho=0.0,
@@ -250,6 +298,25 @@ class TestSparseEigCommand:
         assert report["method"] == "exact"
         assert 0.0 <= report["value"] <= 1.0
         assert len(report["witness"]) == 2
+
+    def test_sampled_report(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "d.csv"
+        write_rows(path, [f"x{j}" for j in range(8)],
+                   rng.standard_normal((30, 8)).tolist())
+        outputs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(["sparse-eig", "-i", str(path), "--s", "3",
+                         "--mode", "sampled", "--draws", "50", "--seed", "9",
+                         "-o", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0])
+        assert report["method"] == "sampled"
+        assert report["upper_bound_only"] is True
+        assert len(report["witness"]) == 3
+        assert report["witness_names"] == [f"x{j}" for j in report["witness"]]
 
     def test_budget_exceeded_guidance(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -54,6 +54,11 @@ class TestSparseEigExact:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             sparse_eig_exact(np.eye(60), 20)
+        # the budget counts the C(6, 3) = 20 subsets scanned, not the 41
+        # subsets of every size <= 3
+        assert sparse_eig_exact(np.eye(6), 3, budget=20).subsets_examined == 20
+        with pytest.raises(BudgetExceeded):
+            sparse_eig_exact(np.eye(6), 3, budget=19)
 
     def test_monotone_in_s(self):
         rng = np.random.default_rng(1)
