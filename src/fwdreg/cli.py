@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -40,7 +39,7 @@ from .errors import (
 from .forward_select import FitResult, forward_regression
 from .simulate import SimConfig, oracle_threshold, simulate_dataset
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -154,7 +153,6 @@ def fit_csv(path: str, t: float) -> dict:
         "coefficients": {names[j]: float(beta[j]) for j in fr.support},
         "intercept": intercept,
         "loss": fr.loss,
-        "budget_exhausted": fr.budget_exhausted,
         "trace": [
             {"index": s.index, "name": names[s.index], "gain": s.gain,
              "loss_after": s.loss_after}
@@ -179,10 +177,7 @@ def default_phi_size(cfg: SimConfig) -> int:
     return min(cfg.p, max(2 * cfg.s0, 1))
 
 
-def _verify_one(
-    cfg: SimConfig, rep: int, safety: float, phi_size: int, timing: bool
-) -> dict:
-    started = time.perf_counter()
+def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
     rep_cfg = replace(cfg, seed=cfg.seed + rep)
     ds = simulate_dataset(rep_cfg)
     g = gram(ds)
@@ -195,7 +190,6 @@ def _verify_one(
     s0 = len(s0_support)
     bounds = theory_bounds.verify_theorem1(fr, ds, t, eig)
     l2_ok, l1_ok = theory_bounds.verify_theorem3(fr, eig(max(fr.s_hat + s0, 1)))
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
     return {
         "seed": rep_cfg.seed,
         "t": t,
@@ -217,9 +211,6 @@ def _verify_one(
         "theorem3_l1_ok": l1_ok,
         "eig_method": bounds.eig_method,
         "caveat_flag": bounds.caveat_flag,
-        # wall-clock is inherently nondeterministic, so it is opt-in to
-        # keep fixed-seed reports byte identical
-        "runtime_ms": elapsed_ms if timing else None,
     }
 
 
@@ -235,7 +226,6 @@ def run_verify(
     safety: float = 1.1,
     phi_size: Optional[int] = None,
     threads: int = 1,
-    timing: bool = False,
 ) -> tuple[dict, bool]:
     """Simulate, fit and bound-check ``replications`` seeds.
 
@@ -247,7 +237,7 @@ def run_verify(
     phi_size = default_phi_size(cfg) if phi_size is None else phi_size
 
     def worker(rep: int) -> dict:
-        return _verify_one(cfg, rep, safety, phi_size, timing)
+        return _verify_one(cfg, rep, safety, phi_size)
 
     records = _fan_out(worker, range(replications), threads)
 
@@ -291,7 +281,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         safety=args.safety,
         phi_size=args.phi_size,
         threads=args.threads,
-        timing=args.timing,
     )
     write_json(args.out, report)
     if not all_pass:
@@ -495,10 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--threads", type=int, default=1)
     verify.add_argument("--safety", type=float, default=1.1)
     verify.add_argument("--phi-size", type=int, default=None)
-    verify.add_argument(
-        "--timing", action="store_true",
-        help="record per-replication wall clock (breaks byte determinism)",
-    )
     verify.set_defaults(func=cmd_verify)
 
     rates = sub.add_parser("rates", help="error-rate sweep over sample sizes")

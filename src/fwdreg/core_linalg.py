@@ -140,13 +140,16 @@ class OrthoState:
 
     ``basis`` holds the selected columns orthonormalized under the (1/n)
     inner product; ``residual`` is y minus its projection onto their span,
-    and ``residual_loss`` equals l(support).
+    and ``residual_loss`` equals l(support). ``col_norm2[j]`` is the (1/n)
+    norm^2 of column j residualized against the basis, carried by rank-one
+    downdates (orthogonal least squares, Blumensath & Davies 2007).
     """
 
     support: tuple[int, ...]
     basis: np.ndarray
     residual: np.ndarray
     residual_loss: float
+    col_norm2: np.ndarray
 
 
 def initial_state(ds: Dataset) -> OrthoState:
@@ -156,6 +159,7 @@ def initial_state(ds: Dataset) -> OrthoState:
         basis=np.empty((ds.n, 0)),
         residual=ds.y.copy(),
         residual_loss=en_dot(ds.y, ds.y),
+        col_norm2=np.einsum("ij,ij->j", ds.x, ds.x) / ds.n,
     )
 
 
@@ -194,4 +198,5 @@ def ortho_extend(state: OrthoState, j: int, ds: Dataset) -> OrthoState:
         basis=np.column_stack([state.basis, q]),
         residual=residual,
         residual_loss=en_dot(residual, residual),
+        col_norm2=state.col_norm2 - (q @ ds.x / ds.n) ** 2,
     )

@@ -18,6 +18,8 @@ from .core_linalg import (
     COLLINEAR_TOL,
     Dataset,
     OrthoState,
+    _residualize,
+    en_dot,
     initial_state,
     is_standardized,
     least_squares_on_support,
@@ -51,7 +53,6 @@ class FitResult:
     pred_error_norm: Optional[float] = None
     l2_error: Optional[float] = None
     l1_error: Optional[float] = None
-    budget_exhausted: bool = False
 
     @property
     def s_hat(self) -> int:
@@ -63,19 +64,12 @@ def score_all(state: OrthoState, ds: Dataset) -> np.ndarray:
 
     Entry j is (E_n[x~_ij r_i])^2 / E_n[x~_ij^2] where x~_j is column j
     residualized against the current basis and r the current residual.
-    Already-selected and collinear columns get a -inf sentinel.
+    Since r is orthogonal to the basis, x~_j'r = x_j'r, and the
+    denominators are the carried ``state.col_norm2``, so a call costs
+    O(np). Already-selected and collinear columns get a -inf sentinel.
     """
-    x = ds.x
-    n = ds.n
-    basis = state.basis
-    if basis.shape[1]:
-        xt = x - basis @ (basis.T @ x / n)
-        # second pass keeps the sentinel test honest near collinearity
-        xt = xt - basis @ (basis.T @ xt / n)
-    else:
-        xt = x
-    denom = np.einsum("ij,ij->j", xt, xt) / n
-    num = xt.T @ state.residual / n
+    num = ds.x.T @ state.residual / ds.n
+    denom = state.col_norm2
     scores = np.full(ds.p, -np.inf)
     usable = denom > COLLINEAR_TOL
     scores[usable] = num[usable] ** 2 / denom[usable]
@@ -84,35 +78,36 @@ def score_all(state: OrthoState, ds: Dataset) -> np.ndarray:
     return scores
 
 
-def forward_regression(
-    ds: Dataset, t: float, max_steps: Optional[int] = None
-) -> FitResult:
+def forward_regression(ds: Dataset, t: float) -> FitResult:
     """Run the greedy selection loop at threshold t, then refit.
 
     Ties in the argmax break toward the lowest column index, which makes
     the result independent of any parallel scoring schedule. Stopping is
-    strict: a gain equal to t exactly is not selected. If the step budget
-    (default min(n, p)) runs out while a qualifying candidate remains,
-    the result is flagged ``budget_exhausted`` rather than an error.
+    strict: a gain equal to t exactly is not selected. The leader's gain
+    is recomputed from its exactly residualized column before it is
+    accepted, since the carried norms lose digits near collinearity; if
+    that moves the leader, the argmax is taken again. Selected columns
+    score -inf, so the loop ends within p steps.
     """
     if t <= 0:
         raise ValueError("threshold t must be positive")
     if not is_standardized(ds.x):
         raise NotStandardized("columns must be centered with unit second moment")
-    cap = min(ds.n, ds.p)
-    if max_steps is not None:
-        cap = min(cap, int(max_steps))
 
     state = initial_state(ds)
     steps: list[SelectionStep] = []
-    budget_exhausted = False
     while True:
         scores = score_all(state, ds)
+        exact: set[int] = set()
         best = int(np.argmax(scores))
+        while best not in exact and scores[best] > -np.inf:
+            c = _residualize(state.basis, ds.x[:, best])
+            norm2 = en_dot(c, c)
+            usable = norm2 > COLLINEAR_TOL
+            scores[best] = en_dot(c, state.residual) ** 2 / norm2 if usable else -np.inf
+            exact.add(best)
+            best = int(np.argmax(scores))
         if not scores[best] > t:
-            break
-        if len(steps) >= cap:
-            budget_exhausted = True
             break
         state = ortho_extend(state, best, ds)
         steps.append(SelectionStep(best, float(scores[best]), state.residual_loss))
@@ -132,7 +127,6 @@ def forward_regression(
         pred_error_norm=pred,
         l2_error=l2,
         l1_error=l1,
-        budget_exhausted=budget_exhausted,
     )
 
 

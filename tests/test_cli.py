@@ -193,7 +193,7 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["all_bounds_hold"]
         assert len(report["records"]) == 5
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
 
     def test_thread_count_does_not_change_report(self, tmp_path):
         cfg = self._config(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 
 from fwdreg.core_linalg import (
     Dataset,
+    _residualize,
     en_dot,
     gram,
     initial_state,
@@ -142,6 +143,9 @@ class TestOrthoExtend:
         np.testing.assert_allclose(
             state.basis.T @ state.residual / n, 0.0, atol=1e-10
         )
+        for j in set(range(ds.p)) - set(state.support):
+            c = _residualize(state.basis, ds.x[:, j])
+            assert state.col_norm2[j] == pytest.approx(en_dot(c, c), rel=0, abs=1e-10)
 
 
 def test_loss_monotone_under_extension():
