@@ -306,6 +306,8 @@ def run_rates(
     Sparse eigenvalues for the threshold use the sampled surrogate, since
     exact enumeration is infeasible at sweep-scale p.
     """
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be increasing with at least 4 points")

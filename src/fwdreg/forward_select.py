@@ -9,6 +9,7 @@ least-squares refit on the selected support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,16 +82,19 @@ def score_all(state: OrthoState, ds: Dataset) -> np.ndarray:
 def forward_regression(ds: Dataset, t: float) -> FitResult:
     """Run the greedy selection loop at threshold t, then refit.
 
-    Ties in the argmax break toward the lowest column index, which makes
-    the result independent of any parallel scoring schedule. Stopping is
+    Ties in the computed scores break toward the lowest column index,
+    which makes the result independent of any parallel scoring schedule.
+    This holds for ties in floating point; an algebraic tie, such as the
+    step that reaches s_hat = n - 1 in a saturated fit (every remaining
+    column then has the same gain), is settled by rounding. Stopping is
     strict: a gain equal to t exactly is not selected. The leader's gain
     is recomputed from its exactly residualized column before it is
     accepted, since the carried norms lose digits near collinearity; if
     that moves the leader, the argmax is taken again. Selected columns
     score -inf, so the loop ends within p steps.
     """
-    if t <= 0:
-        raise ValueError("threshold t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"threshold t must be finite and positive, got {t}")
     if not is_standardized(ds.x):
         raise NotStandardized("columns must be centered with unit second moment")
 

@@ -122,8 +122,8 @@ def oracle_threshold(ds: Dataset, phi: float, safety: float = 1.0) -> ThresholdC
     noise_sup = noise_covariate_sup(ds)
     if phi <= 0:
         raise NonpositiveEigenvalue(f"phi = {phi}")
-    if safety < 1:
-        raise ValueError("safety factor must be >= 1")
+    if not (math.isfinite(safety) and safety >= 1):
+        raise ValueError(f"safety factor must be finite and >= 1, got {safety}")
     t = (safety * 2.0 * noise_sup / phi) ** 2
     if t < THRESHOLD_FLOOR:
         return ThresholdChoice(t=THRESHOLD_FLOOR, floored=True)

@@ -86,16 +86,80 @@ def _batched_min_eig(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sub)[:, 0]
 
 
+def _colex_table(n: int, m: int) -> np.ndarray:
+    """All m-subsets of range(n), one per row, in colex order.
+
+    Colex order sorts by the largest element first, so for every n' <= n
+    the m-subsets of range(n') are exactly the first C(n', m) rows. The
+    smallest integer dtype that holds n keeps the table compact.
+    """
+    dtype = np.min_scalar_type(n)
+    table = np.arange(n, dtype=dtype)[:, None]
+    for j in range(2, m + 1):
+        table = np.vstack(
+            [np.column_stack([table[: math.comb(top, j - 1)],
+                              np.full(math.comb(top, j - 1), top, dtype=dtype)])
+             for top in range(j - 1, n)]
+        )
+    return table
+
+
+def _prefix_schur(
+    g: np.ndarray, prefix: tuple[int, ...], r0: int, c: float
+) -> Optional[np.ndarray]:
+    """Schur complement of the prefix block in G - cI, over the indices
+    R = {r0, ..., p-1}; None when the prefix block of G - cI is not
+    positive definite (an LDL' pivot is not > 0)."""
+    q = len(prefix)
+    idx = np.r_[np.array(prefix, dtype=np.intp), np.arange(r0, g.shape[0])]
+    a = g[np.ix_(idx, idx)] - c * np.eye(idx.size)
+    for j in range(q):
+        if not a[j, j] > 0:
+            return None
+        a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j] / a[j, j], a[j, j + 1 :])
+    return a[q:, q:]
+
+
+def _positive_definite_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether a restricted to each row of indices is positive definite,
+    by a vectorized LDL' factorization (every pivot > 0). The batch axis
+    is last, so each elimination step works on contiguous vectors."""
+    cols = rows.T
+    sub = np.take(a, cols[:, None, :] * a.shape[0] + cols[None, :, :])
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for j in range(cols.shape[0]):
+        ok &= sub[j, j] > 0
+        ratio = sub[j + 1 :, j] / np.where(ok, sub[j, j], 1.0)
+        sub[j + 1 :, j + 1 :] -= ratio[:, None] * sub[None, j, j + 1 :]
+    return ok
+
+
 def sparse_eig_exact(
     g: np.ndarray, s: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> SparseEigReport:
-    """Exact minimum s-sparse eigenvalue by enumeration.
+    """Exact minimum s-sparse eigenvalue by screened enumeration.
 
-    Only subsets of size exactly min(s, p) are scanned: by Cauchy
+    Only subsets of size k = min(s, p) are candidates: by Cauchy
     interlacing, deleting rows/columns of a principal submatrix can only
     raise the smallest eigenvalue, so smaller subsets are redundant.
-    Raises BudgetExceeded when the C(p, min(s, p)) subsets to scan exceed
-    ``budget``; callers should fall back to sparse_eig_sampled.
+
+    The subsets are grouped by their first q = min(2, k - 2) indices, the
+    prefix (empty for k <= 2, so k <= 2 and k = p give one group); the
+    tails of every group come from one colex table. The first group is
+    solved in full. After that, with ``best`` the running minimum and
+    c = best + 1e-9 |best| + tol, a subset S is skipped when G_S - cI is
+    positive definite: then lambda_min(G_S) > c, so S can neither lower
+    nor tie the minimum. The test is one Schur complement of the prefix
+    block per group and a vectorized LDL' of the tail blocks, which
+    together are an LDL' of G_S - cI. Without pivoting it is backward
+    stable whenever its pivots are positive, with an error far below
+    tol = max(1e-12, 1e-14 k^2) * max|g_ij|. Subsets that are not
+    skipped get the same eigvalsh call as a plain enumeration, so the
+    value and the witness (the lexicographically smallest on exact ties)
+    do not depend on the screen.
+
+    Raises BudgetExceeded when the C(p, k) candidates exceed ``budget``;
+    callers should fall back to sparse_eig_sampled.
     """
     p = g.shape[0]
     if s < 1:
@@ -105,28 +169,37 @@ def sparse_eig_exact(
     if total > budget:
         raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}")
 
+    q = min(2, max(size - 2, 0))
+    m = size - q
+    table = _colex_table(p - q, m)
+    tol = max(1e-12, 1e-14 * size * size) * float(np.max(np.abs(g)))
     best_val = math.inf
     best_wit: tuple[int, ...] = ()
-    examined = 0
-    combos = itertools.combinations(range(p), size)
-    while True:
-        block = list(itertools.islice(combos, _CHUNK))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.intp)
-        vals = _batched_min_eig(g, idx)
-        examined += idx.shape[0]
-        i = int(np.argmin(vals))
-        # strict < keeps the lexicographically smallest witness on ties
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_wit = tuple(int(j) for j in idx[i])
+    for prefix in itertools.combinations(range(p - m), q):
+        r0 = prefix[-1] + 1 if prefix else 0
+        schur = None
+        if best_val < math.inf:
+            schur = _prefix_schur(g, prefix, r0, best_val + 1e-9 * abs(best_val) + tol)
+        rows = math.comb(p - r0, m)
+        for lo in range(0, rows, _CHUNK):
+            tails = table[lo : min(lo + _CHUNK, rows)].astype(np.intp)
+            if schur is not None:
+                tails = tails[~_positive_definite_rows(schur, tails)]
+                if tails.shape[0] == 0:
+                    continue
+            head = np.broadcast_to(np.array(prefix, dtype=np.intp), (tails.shape[0], q))
+            idx = np.hstack([head, tails + r0])
+            vals = _batched_min_eig(g, idx)
+            low = float(vals.min())
+            wit = min(tuple(int(j) for j in idx[i]) for i in np.flatnonzero(vals == low))
+            if low < best_val or (low == best_val and wit < best_wit):
+                best_val, best_wit = low, wit
     return SparseEigReport(
         s=int(s),
         value=max(best_val, 0.0),
         method="exact",
         witness=best_wit,
-        subsets_examined=examined,
+        subsets_examined=total,
     )
 
 

@@ -175,6 +175,34 @@ def test_quoted_cells_and_blank_lines_accepted(tmp_path):
     assert fit_csv(str(quoted), t=0.05) == fit_csv(str(plain), t=0.05)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("fit", "-t", "threshold t must be finite and positive"),
+        ("compare", "-t", "threshold t must be finite and positive"),
+        ("verify", "--safety", "safety factor must be finite and >= 1"),
+        ("rates", "--safety", "safety factor must be finite and >= 1"),
+    ],
+)
+def test_non_finite_threshold_or_safety_rejected(
+    tmp_path, capsys, command, flag, message, value
+):
+    if command in ("fit", "compare"):
+        source = ["-i", str(DATA / "golden_fit_input.csv")]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(n=60, p=8, s0=2, seed=5)))
+        source = ["--config", str(cfg), "--replications", "1"]
+        if command == "rates":
+            source += ["--n-grid", "60,80,100,120"]
+    out = tmp_path / "out"
+    code = main([command, *source, f"{flag}={value}", "-o", str(out)])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestVerifyCommand:
     def _config(self, tmp_path, **overrides):
         cfg = dict(n=100, p=20, s0=2, design="independent", rho=0.0,
@@ -276,6 +304,19 @@ class TestRates:
                      "--threads", "0", "-o", str(tmp_path / "rates.csv")])
         assert code == EXIT_INPUT
         assert "threads must be >= 1" in capsys.readouterr().err
+
+    def test_rejects_zero_replications(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(n=100, p=10, s0=2, seed=5)))
+        out = tmp_path / "rates.csv"
+        code = main(["rates", "--config", str(cfg_path),
+                     "--n-grid", "100,200,400,800", "--replications", "0",
+                     "-o", str(out)])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "replications must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_rejects_short_grid(self):
         cfg = SimConfig(n=50, p=10, s0=2, seed=1)

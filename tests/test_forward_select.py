@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from fwdreg.core_linalg import (
     Dataset,
+    column_moments,
     en_dot,
     gram,
     initial_state,
@@ -266,6 +267,36 @@ class TestMetamorphic:
         fr = forward_regression(Dataset(x=ds.x[:, perm], y=ds.y), t)
         assert tuple(sorted(int(perm[k]) for k in fr.support)) == base.support
         assert _same_loss(base, fr, ds)
+
+    @given(
+        fit_cases(),
+        st.data(),
+        st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        st.booleans(),
+        st.floats(-10.0, 10.0),
+    )
+    def test_affine_rescaling_of_a_column(self, case, data, scale, flip, shift):
+        """Fitting on raw columns standardizes them first, as the fit
+        command does, so a*x_j + b gives the same support and column j's
+        original-unit coefficient scales by 1/a."""
+        ds, t, _ = case
+        j = data.draw(st.integers(0, ds.p - 1))
+        a = -scale if flip else scale
+        raw = ds.x.copy()
+        raw[:, j] = a * raw[:, j] + shift
+
+        def fit_original_units(x):
+            mean, sd = column_moments(x)
+            fr = forward_regression(Dataset(x=(x - mean) / sd, y=ds.y), t)
+            return fr, fr.theta_hat / sd
+
+        base, beta = fit_original_units(ds.x)
+        fr, beta_scaled = fit_original_units(raw)
+        assert fr.support == base.support
+        assert _same_loss(base, fr, ds)
+        expected = beta.copy()
+        expected[j] /= a
+        np.testing.assert_allclose(beta_scaled, expected, rtol=1e-7, atol=1e-12)
 
     @given(fit_cases())
     def test_row_permutation(self, case):

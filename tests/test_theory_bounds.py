@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fwdreg import theory_bounds
 from fwdreg.core_linalg import Dataset, gram, standardize
 from fwdreg.errors import (
     BudgetExceeded,
@@ -30,12 +31,60 @@ def random_gram(rng, n, p):
     return gram(Dataset(x=x, y=np.zeros(n)))
 
 
+def screen_gram(kind):
+    """Gram matrices on which the positive-definiteness screen of
+    sparse_eig_exact meets exact zeros, near-zeros, strong correlation
+    and exact ties."""
+    rng = np.random.default_rng(11)
+    p = 9
+    if kind == "equicorrelated":
+        return np.full((p, p), 0.4) + 0.6 * np.eye(p)
+    n = {"p_gt_n": 6, "toeplitz": 60}.get(kind, 40)
+    raw = rng.standard_normal((n, p))
+    if kind == "duplicated":
+        raw[:, 6] = raw[:, 2]
+    elif kind == "near_collinear":
+        raw[:, 6] = raw[:, 2] + 1e-7 * rng.standard_normal(n)
+    elif kind == "toeplitz":
+        raw = raw @ np.linalg.cholesky(scipy.linalg.toeplitz(0.9 ** np.arange(p))).T
+    return gram(Dataset(x=standardize(raw), y=np.zeros(n)))
+
+
+SCREEN_KINDS = ["duplicated", "near_collinear", "toeplitz", "equicorrelated", "p_gt_n"]
+
+
 class TestSparseEigExact:
     def test_identity(self):
         rep = sparse_eig_exact(np.eye(6), 3)
         assert rep.value == 1.0
         assert rep.method == "exact"
-        assert len(rep.witness) == 3
+        assert rep.witness == (0, 1, 2)
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_exact_ties_keep_smallest_witness(self, s):
+        assert sparse_eig_exact(np.eye(8), s).witness == tuple(range(s))
+        equi = screen_gram("equicorrelated")
+        assert sparse_eig_exact(equi, s).witness == tuple(range(s))
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    @pytest.mark.parametrize("kind", SCREEN_KINDS)
+    def test_screen_matches_oracle(self, kind, s):
+        g = screen_gram(kind)
+        rep = sparse_eig_exact(g, s)
+        assert rep.value == pytest.approx(sparse_eig_bruteforce(g, s).value, abs=1e-12)
+        assert rep.subsets_examined == math.comb(g.shape[0], s)
+        w = list(rep.witness)
+        assert len(w) == s
+        assert max(float(np.linalg.eigvalsh(g[np.ix_(w, w)])[0]), 0.0) == rep.value
+
+    @pytest.mark.parametrize("kind", SCREEN_KINDS)
+    def test_chunk_split_does_not_change_result(self, kind, monkeypatch):
+        # with s = 5 and p = 9 the first prefix block holds C(7, 3) = 35
+        # rows, so a chunk of 4 splits every block with more than 4 tails
+        g = screen_gram(kind)
+        whole = sparse_eig_exact(g, 5)
+        monkeypatch.setattr(theory_bounds, "_CHUNK", 4)
+        assert sparse_eig_exact(g, 5) == whole
 
     def test_two_by_two_closed_form(self):
         g = np.array([[1.0, 0.5], [0.5, 1.0]])
