@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -62,20 +63,23 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
 
     The response column must be named "y"; if absent, every column is a
     covariate (useful for sparse-eig). Cells may be double-quoted, blank
-    lines are skipped and "#" is an ordinary character, not a comment.
-    Raises ValueError for an empty file, a file without data rows, a
-    duplicate column name, a non-numeric or non-finite cell, or a row
-    whose width differs from the header or from the rows before it.
+    (or whitespace-only) lines are skipped and "#" is an ordinary
+    character, not a comment. Raises ValueError for an empty file, a file
+    without data rows, a duplicate column name, a non-numeric or
+    non-finite cell, or a row whose width differs from the header or from
+    the rows before it. Row errors name the file line, the header being
+    line 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        lines = fh.readlines()
+        rows = [(num, line) for num, line in enumerate(fh, 2) if not line.isspace()]
     # checked before parsing, so numpy never warns about empty input
-    if not any(line.strip() for line in lines):
+    if not rows:
         raise ValueError(f"{path}: no data rows")
+    line_nums, lines = zip(*rows)
     header = [h.strip() for h in header]
     dupes = [h for h, count in Counter(header).items() if count > 1]
     if dupes:
@@ -83,16 +87,22 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     try:
         data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        # loadtxt numbers the rows it was given: 0-based in "at row R,
+        # column C" (a bad cell), 1-based in "at row R;" (a ragged row)
+        def file_line(m: re.Match) -> str:
+            row = int(m[1]) - (m[2] is None)
+            return f"on line {line_nums[row]}{m[2] or ''}"
+
+        message = re.sub(r"at row (\d+)(, column)?", file_line, str(exc))
+        raise ValueError(f"{path}: {message}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: row width does not match header")
     # reject NaN and inf here, before any arithmetic can spread them
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]
-        raise ValueError(
-            f"{path}: non-finite value in column {header[col]!r}, row {row + 1}"
-        )
+        raise ValueError(f"{path}: non-finite value in column {header[col]!r} "
+                         f"on line {line_nums[row]}")
     if "y" in header:
         yi = header.index("y")
         names = [h for i, h in enumerate(header) if i != yi]
@@ -430,11 +440,16 @@ def compare_csv(path: str, t: float, k: Optional[int] = None) -> dict:
 
     The greedy support is the first k forward selections (k defaults to
     the full selected size), refit by least squares; the exhaustive side
-    is the best size-k subset.
+    is the best size-k subset. k must lie in 0..s_hat, the sizes the
+    greedy side has; this is checked before the exhaustive search.
     """
     names, ds, *_moments = read_dataset(path)
     fr = forward_regression(ds, t)
     k = fr.s_hat if k is None else int(k)
+    if not 0 <= k <= fr.s_hat:
+        raise ValueError(
+            f"k must be between 0 and the selected size {fr.s_hat}, got {k}"
+        )
 
     greedy_support = tuple(sorted(s.index for s in fr.trace.steps[:k]))
     _theta, greedy_loss = least_squares_on_support(ds, greedy_support)

@@ -13,7 +13,6 @@ import math
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .core_linalg import Dataset, en_dot
 from .errors import BudgetExceeded, RankDeficientSupport
@@ -126,6 +125,7 @@ def best_subset(
 def sparse_eig_bruteforce(g: np.ndarray, s: int) -> SparseEigReport:
     """Minimum sparse eigenvalue scanning ALL subsets of size <= s, one
     scipy eigensolver call per subset. Small p only."""
+    import scipy.linalg  # test-only dependency; fwdreg itself needs numpy only
     p = g.shape[0]
     if s < 1:
         raise ValueError("subset size bound s must be >= 1")

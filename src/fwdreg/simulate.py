@@ -8,11 +8,11 @@ y = X theta0 + epsilon holds exactly in standardized coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .core_linalg import Dataset, column_moments
 from .errors import NonpositiveEigenvalue
@@ -39,6 +39,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # bool is an Integral, but a JSON true is never a meant count or seed
+        for name in ("n", "p", "s0", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("rho", "c", "rate", "noise_sd"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if not 0 <= self.s0 <= self.p:
@@ -69,7 +79,8 @@ def _design_cholesky(cfg: SimConfig) -> np.ndarray | None:
         cov = np.full((cfg.p, cfg.p), cfg.rho)
         np.fill_diagonal(cov, 1.0)
     else:  # toeplitz: entry (j, k) = rho^|j-k|
-        cov = scipy.linalg.toeplitz(cfg.rho ** np.arange(cfg.p))
+        k = np.arange(cfg.p)
+        cov = (cfg.rho ** k)[np.abs(k[:, None] - k[None, :])]
     return np.linalg.cholesky(cov)
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fwdreg
+from fwdreg import oracle
 from fwdreg.cli import (
     EXIT_BOUND_FAILURE,
     EXIT_DEGENERATE,
@@ -151,6 +156,26 @@ def test_malformed_csv_rejected(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("3,abc", "could not convert string 'abc' to float64 on line 4, column 2"),
+        ("3", "the number of columns changed from 2 to 1 on line 4"),
+        ("3,nan", "non-finite value in column 'y' on line 4"),
+    ],
+    ids=["bad_cell", "ragged", "nan_cell"],
+)
+def test_csv_errors_name_the_file_line(tmp_path, capsys, bad_line, message):
+    """Row errors count file lines: the header is line 1, blanks count."""
+    path = tmp_path / "d.csv"
+    path.write_text(f"x1,y\n1,2\n\n{bad_line}\n5,6\n")
+    code = main(["fit", "-t", "0.1", "-i", str(path), "-o", str(tmp_path / "o.json")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err
+    assert "row" not in err
+
+
 def test_quoted_cells_and_blank_lines_accepted(tmp_path):
     rng = np.random.default_rng(6)
     header = ["x1", "x2", "x3", "y"]
@@ -254,12 +279,19 @@ class TestVerifyCommand:
         assert code == EXIT_INPUT
         assert "threads must be >= 1" in capsys.readouterr().err
 
-    def test_bad_config_exit_code(self, tmp_path):
+    def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 100}))
         code = main(["verify", "--config", str(path), "--replications", "2",
                      "-o", str(tmp_path / "o.json")])
         assert code == EXIT_INPUT
+        # a NaN field used to run and fail the bound check (exit 4)
+        out = tmp_path / "nan.json"
+        code = main(["verify", "--config", self._config(tmp_path, c=float("nan")),
+                     "--replications", "2", "-o", str(out)])
+        assert code == EXIT_INPUT
+        assert "c must be a finite real number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRates:
@@ -387,7 +419,57 @@ class TestCompare:
         report = compare_csv(str(path), t=0.5)
         assert report["greedy_support"] == report["best_subset_support"] == [3]
 
+    @pytest.mark.parametrize("k", ["4", "-1"])
+    def test_k_outside_selected_size_rejected(self, tmp_path, capsys, monkeypatch, k):
+        def no_search(*_args):
+            raise AssertionError("exhaustive search ran")
+
+        monkeypatch.setattr(oracle, "best_subset", no_search)
+        out = tmp_path / "o.json"
+        code = main(["compare", "-i", str(DATA / "adversarial_compare.csv"),
+                     "-t", "0.05", "--k", k, "-o", str(out)])
+        assert code == EXIT_INPUT
+        assert "k must be between 0 and the selected size 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_zero(self):
         report = compare_csv(str(DATA / "adversarial_compare.csv"), t=0.05, k=0)
         assert report["greedy_support"] == report["best_subset_support"] == []
         assert report["greedy_loss"] == pytest.approx(report["best_subset_loss"])
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import fwdreg, fwdreg.cli
+codes = [fwdreg.cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    """numpy is fwdreg's only runtime dependency: importing the package and
+    running fit, verify (Toeplitz), rates and compare loads no scipy module.
+    A fresh interpreter is used, since the test process itself loads scipy."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(n=60, p=8, s0=2, design="toeplitz", rho=0.4,
+                                   noise_sd=0.5, seed=3)))
+    argvs = [
+        ["fit", "-i", str(DATA / "golden_fit_input.csv"), "-t", "0.1",
+         "-o", str(tmp_path / "fit.json")],
+        ["verify", "--config", str(cfg), "--replications", "2",
+         "-o", str(tmp_path / "verify.json")],
+        ["rates", "--config", str(cfg), "--n-grid", "60,80,100,120",
+         "--replications", "2", "--draws", "20", "-o", str(tmp_path / "rates.csv")],
+        ["compare", "-i", str(DATA / "adversarial_compare.csv"), "-t", "0.05",
+         "-o", str(tmp_path / "compare.json")],
+    ]
+    src = str(pathlib.Path(fwdreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 4, "scipy": []}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fwdreg import simulate
 from fwdreg.core_linalg import Dataset, gram
 from fwdreg.errors import MissingGroundTruth
 from fwdreg.simulate import (
@@ -24,6 +25,16 @@ class TestSimConfig:
             SimConfig(n=10, p=5, s0=2, design="spiral")
         with pytest.raises(ValueError):
             SimConfig(n=10, p=5, s0=2, design="toeplitz", rho=1.0)
+        # counts and the seed must be integers, the rest finite reals
+        for field, value in [
+            ("n", 50.5), ("p", 10.0), ("s0", 2.0), ("seed", 1.5), ("seed", "a"),
+            ("n", True), ("seed", None),
+            ("c", math.nan), ("c", math.inf), ("rate", math.nan),
+            ("noise_sd", math.inf), ("rho", "0.5"), ("c", False),
+        ]:
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                SimConfig(**{"n": 50, "p": 10, "s0": 2,
+                             "theta_pattern": "decaying", field: value})
 
     def test_json_round_trip(self):
         cfg = SimConfig(n=50, p=10, s0=3, design="toeplitz", rho=0.4, seed=9)
@@ -88,6 +99,23 @@ class TestSimulateDataset:
 
         ratio = median_dist(1000) / median_dist(4000)
         assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
+
+
+@pytest.mark.parametrize(
+    "p, rho", [(1, 0.3), (2, -0.7), (5, 0.9), (30, 0.5), (200, 0.3), (17, -0.45)]
+)
+def test_toeplitz_build_bit_identical_to_scipy(monkeypatch, p, rho):
+    """The numpy Toeplitz build equals scipy.linalg.toeplitz bit for bit,
+    so every simulated Toeplitz dataset is unchanged by it."""
+    cfg = SimConfig(n=40, p=p, s0=1, design="toeplitz", rho=rho, seed=p)
+    reference = np.linalg.cholesky(scipy.linalg.toeplitz(rho ** np.arange(p)))
+    assert np.array_equal(simulate._design_cholesky(cfg), reference)
+
+    ds = simulate_dataset(cfg)
+    monkeypatch.setattr(simulate, "_design_cholesky", lambda _cfg: reference)
+    ref_ds = simulate_dataset(cfg)
+    for name in ("x", "y", "theta0", "epsilon"):
+        assert np.array_equal(getattr(ds, name), getattr(ref_ds, name))
 
 
 class TestOracleThreshold:
