@@ -65,7 +65,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     covariate (useful for sparse-eig). Cells may be double-quoted, blank
     (or whitespace-only) lines are skipped and "#" is an ordinary
     character, not a comment. Raises ValueError for an empty file, a file
-    without data rows, a duplicate column name, a non-numeric or
+    without data rows, an empty or duplicate column name, a non-numeric or
     non-finite cell, or a row whose width differs from the header or from
     the rows before it. Row errors name the file line, the header being
     line 1.
@@ -81,6 +81,8 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
         raise ValueError(f"{path}: no data rows")
     line_nums, lines = zip(*rows)
     header = [h.strip() for h in header]
+    if "" in header:
+        raise ValueError(f"{path}: empty column name in column {header.index('') + 1}")
     dupes = [h for h, count in Counter(header).items() if count > 1]
     if dupes:
         raise ValueError(f"{path}: duplicate column name {dupes[0]!r}")
@@ -94,6 +96,8 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
             return f"on line {line_nums[row]}{m[2] or ''}"
 
         message = re.sub(r"at row (\d+)(, column)?", file_line, str(exc))
+        # drop loadtxt's advice to pass `usecols`, which the CLI has no option for
+        message = re.sub(r"; use `usecols`.*", "", message)
         raise ValueError(f"{path}: {message}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: row width does not match header")

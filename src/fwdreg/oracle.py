@@ -147,3 +147,43 @@ def sparse_eig_bruteforce(g: np.ndarray, s: int) -> SparseEigReport:
         witness=best_wit,
         subsets_examined=examined,
     )
+
+
+def sparse_eig_sampled_plain(
+    g: np.ndarray, s: int, draws: int, seed: int
+) -> SparseEigReport:
+    """sparse_eig_sampled without its vectorized partner search and its
+    screen: a per-column loop builds the partner groups, and every group
+    and every draw gets eigvalsh. Same RNG stream, same first-index
+    argmin over [groups; draws]."""
+    p = g.shape[0]
+    if s < 1:
+        raise ValueError("subset size bound s must be >= 1")
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    size = min(int(s), p)
+
+    suspicious: list[tuple[int, ...]] = []
+    if size == p:
+        suspicious.append(tuple(range(p)))
+    else:
+        offdiag = np.abs(g - np.diag(np.diag(g)))
+        for j in range(p):
+            order = np.argsort(-offdiag[j])
+            partners = [int(k) for k in order if k != j][: size - 1]
+            suspicious.append(tuple(sorted([j] + partners)))
+
+    rng = np.random.default_rng(seed)
+    keys = rng.random((draws, p))
+    drawn = np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1)
+
+    idx = np.vstack([np.array(suspicious, dtype=np.intp), drawn.astype(np.intp)])
+    vals = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])[:, 0]
+    i = int(np.argmin(vals))
+    return SparseEigReport(
+        s=int(s),
+        value=max(float(vals[i]), 0.0),
+        method="sampled",
+        witness=tuple(int(j) for j in idx[i]),
+        subsets_examined=idx.shape[0],
+    )

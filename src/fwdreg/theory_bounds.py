@@ -86,6 +86,38 @@ def _batched_min_eig(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sub)[:, 0]
 
 
+def _lowest(g: np.ndarray, idx: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Smallest eigenvalue over the subsets in the rows of idx, and the
+    lexicographically smallest subset that attains it."""
+    vals = _batched_min_eig(g, idx)
+    low = float(vals.min())
+    return low, min(tuple(int(j) for j in idx[i]) for i in np.flatnonzero(vals == low))
+
+
+def _screen_level(best: float, size: int, gmax: float) -> float:
+    """The level c just above the incumbent minimum ``best`` that a
+    size-``size`` subset S is screened against, for a Gram matrix with
+    largest entry ``gmax`` in absolute value. When G_S - cI is positive
+    definite, lambda_min(G_S) > c, so S can neither lower nor tie ``best``.
+    The margin tol = max(1e-12, 1e-14 size^2) * gmax lies far above the
+    rounding error of an unpivoted LDL' whose pivots are positive."""
+    return best + 1e-9 * abs(best) + max(1e-12, 1e-14 * size * size) * gmax
+
+
+def _partner_groups(g: np.ndarray, size: int) -> np.ndarray:
+    """For every column j, j and its size - 1 most-correlated partners
+    (largest |g_jk|, ties as argsort orders them), sorted; one row per
+    column. The only group is range(p) when size = p."""
+    p = g.shape[0]
+    if size == p:
+        return np.arange(p, dtype=np.intp)[None, :]
+    offdiag = np.abs(g - np.diag(np.diag(g)))
+    order = np.argsort(-offdiag, axis=1)
+    cols = np.arange(p, dtype=np.intp)[:, None]
+    partners = order[order != cols].reshape(p, p - 1)[:, : size - 1]
+    return np.sort(np.hstack([cols, partners]), axis=1)
+
+
 def _colex_table(n: int, m: int) -> np.ndarray:
     """All m-subsets of range(n), one per row, in colex order.
 
@@ -145,18 +177,17 @@ def sparse_eig_exact(
 
     The subsets are grouped by their first q = min(2, k - 2) indices, the
     prefix (empty for k <= 2, so k <= 2 and k = p give one group); the
-    tails of every group come from one colex table. The first group is
-    solved in full. After that, with ``best`` the running minimum and
-    c = best + 1e-9 |best| + tol, a subset S is skipped when G_S - cI is
-    positive definite: then lambda_min(G_S) > c, so S can neither lower
-    nor tie the minimum. The test is one Schur complement of the prefix
-    block per group and a vectorized LDL' of the tail blocks, which
-    together are an LDL' of G_S - cI. Without pivoting it is backward
-    stable whenever its pivots are positive, with an error far below
-    tol = max(1e-12, 1e-14 k^2) * max|g_ij|. Subsets that are not
-    skipped get the same eigvalsh call as a plain enumeration, so the
+    tails of every group come from one colex table. For k < p the
+    incumbent minimum ``best`` starts at the smallest value over the
+    partner groups of sparse_eig_sampled, which are candidates too. A
+    subset S is skipped when G_S - cI is positive definite, with c just
+    above ``best`` (see _screen_level): then lambda_min(G_S) > c, so S
+    can neither lower nor tie the minimum. The test is one Schur
+    complement of the prefix block per group and a vectorized LDL' of the
+    tail blocks, which together are an LDL' of G_S - cI. Subsets that are
+    not skipped get the same eigvalsh call as a plain enumeration, so the
     value and the witness (the lexicographically smallest on exact ties)
-    do not depend on the screen.
+    do not depend on the screen or the seed.
 
     Raises BudgetExceeded when the C(p, k) candidates exceed ``budget``;
     callers should fall back to sparse_eig_sampled.
@@ -172,14 +203,16 @@ def sparse_eig_exact(
     q = min(2, max(size - 2, 0))
     m = size - q
     table = _colex_table(p - q, m)
-    tol = max(1e-12, 1e-14 * size * size) * float(np.max(np.abs(g)))
+    gmax = float(np.max(np.abs(g)))
     best_val = math.inf
     best_wit: tuple[int, ...] = ()
+    if size < p:
+        best_val, best_wit = _lowest(g, _partner_groups(g, size))
     for prefix in itertools.combinations(range(p - m), q):
         r0 = prefix[-1] + 1 if prefix else 0
         schur = None
         if best_val < math.inf:
-            schur = _prefix_schur(g, prefix, r0, best_val + 1e-9 * abs(best_val) + tol)
+            schur = _prefix_schur(g, prefix, r0, _screen_level(best_val, size, gmax))
         rows = math.comb(p - r0, m)
         for lo in range(0, rows, _CHUNK):
             tails = table[lo : min(lo + _CHUNK, rows)].astype(np.intp)
@@ -189,9 +222,7 @@ def sparse_eig_exact(
                     continue
             head = np.broadcast_to(np.array(prefix, dtype=np.intp), (tails.shape[0], q))
             idx = np.hstack([head, tails + r0])
-            vals = _batched_min_eig(g, idx)
-            low = float(vals.min())
-            wit = min(tuple(int(j) for j in idx[i]) for i in np.flatnonzero(vals == low))
+            low, wit = _lowest(g, idx)
             if low < best_val or (low == best_val and wit < best_wit):
                 best_val, best_wit = low, wit
     return SparseEigReport(
@@ -210,7 +241,13 @@ def sparse_eig_sampled(
     column, the group of its most-correlated partners.
 
     The value is an upper bound on the exact phi_min(s) (a minimum over a
-    subfamily can only be larger), and is reported as such.
+    subfamily can only be larger), and is reported as such. The partner
+    groups are solved first and give the incumbent; a draw goes to
+    eigvalsh only when G_S - cI, with c just above the incumbent, is not
+    positive definite, since otherwise lambda_min(G_S) > c and S can
+    neither lower nor tie it. Value and witness are those of the first
+    minimum over [groups; draws], as if every subset were solved, and
+    ``subsets_examined`` counts that whole sampled family.
     """
     p = g.shape[0]
     if s < 1:
@@ -219,29 +256,28 @@ def sparse_eig_sampled(
         raise ValueError("draws must be >= 1")
     size = min(int(s), p)
 
-    suspicious: list[tuple[int, ...]] = []
-    if size == p:
-        suspicious.append(tuple(range(p)))
-    else:
-        offdiag = np.abs(g - np.diag(np.diag(g)))
-        for j in range(p):
-            order = np.argsort(-offdiag[j])
-            partners = [int(k) for k in order if k != j][: size - 1]
-            suspicious.append(tuple(sorted([j] + partners)))
-
-    rng = np.random.default_rng(seed)
-    keys = rng.random((draws, p))
-    drawn = np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1)
-
-    idx = np.vstack([np.array(suspicious, dtype=np.intp), drawn.astype(np.intp)])
-    vals = _batched_min_eig(g, idx)
+    groups = _partner_groups(g, size)
+    vals = _batched_min_eig(g, groups)
     i = int(np.argmin(vals))
+    best_val, best_wit = float(vals[i]), groups[i]
+
+    if size < p:  # at size = p every draw is range(p), the one group
+        rng = np.random.default_rng(seed)
+        keys = rng.random((draws, p))
+        drawn = np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1)
+        c = _screen_level(best_val, size, float(np.max(np.abs(g))))
+        survivors = drawn[~_positive_definite_rows(g - c * np.eye(p), drawn)]
+        if survivors.shape[0]:
+            vals = _batched_min_eig(g, survivors)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val, best_wit = float(vals[i]), survivors[i]
     return SparseEigReport(
         s=int(s),
-        value=max(float(vals[i]), 0.0),
+        value=max(best_val, 0.0),
         method="sampled",
-        witness=tuple(int(j) for j in idx[i]),
-        subsets_examined=idx.shape[0],
+        witness=tuple(int(j) for j in best_wit),
+        subsets_examined=groups.shape[0] + draws,
     )
 
 

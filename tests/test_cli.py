@@ -174,6 +174,27 @@ def test_csv_errors_name_the_file_line(tmp_path, capsys, bad_line, message):
     err = capsys.readouterr().err
     assert message in err
     assert "row" not in err
+    assert "usecols" not in err
+
+
+@pytest.mark.parametrize(
+    "header, column",
+    [("x1,,y", 2), ("x1, ,y", 2), (",x1,y", 1), ("x1,y,", 3), ("x1,,y,", 2)],
+    ids=["middle", "blank", "first", "trailing", "two_empty"],
+)
+@pytest.mark.parametrize(
+    "command", [["fit", "-t", "0.1"], ["sparse-eig", "--s", "1"]], ids=["fit", "sparse_eig"]
+)
+def test_empty_column_name_rejected(tmp_path, capsys, command, header, column):
+    width = header.count(",") + 1
+    rows = "\n".join(",".join(str(i + j * j) for j in range(width)) for i in range(4))
+    path = tmp_path / "d.csv"
+    path.write_text(f"{header}\n{rows}\n")
+    out = tmp_path / "o.json"
+    code = main(command + ["-i", str(path), "-o", str(out)])
+    assert code == EXIT_INPUT
+    assert f"empty column name in column {column}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quoted_cells_and_blank_lines_accepted(tmp_path):

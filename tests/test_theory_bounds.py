@@ -12,7 +12,7 @@ from fwdreg.errors import (
     NonpositiveEigenvalue,
 )
 from fwdreg.forward_select import forward_regression
-from fwdreg.oracle import sparse_eig_bruteforce
+from fwdreg.oracle import sparse_eig_bruteforce, sparse_eig_sampled_plain
 from fwdreg.theory_bounds import (
     constant_c1,
     constant_c2,
@@ -86,6 +86,21 @@ class TestSparseEigExact:
         monkeypatch.setattr(theory_bounds, "_CHUNK", 4)
         assert sparse_eig_exact(g, 5) == whole
 
+    def test_partner_groups_seed_the_incumbent(self, monkeypatch):
+        # the 14 partner groups are solved first; their minimum screens the
+        # first prefix group (0, 1) too, whose C(12, 3) = 220 subsets would
+        # otherwise all reach eigvalsh
+        rows = []
+        solve = theory_bounds._batched_min_eig
+        monkeypatch.setattr(theory_bounds, "_batched_min_eig",
+                            lambda g, idx: (rows.append(idx.shape[0]), solve(g, idx))[1])
+        g = random_gram(np.random.default_rng(14), 200, 14)
+        rep = sparse_eig_exact(g, 5)
+        ref = sparse_eig_bruteforce(g, 5)
+        assert rep.value == pytest.approx(ref.value, abs=1e-12)
+        assert rep.witness == ref.witness
+        assert rows[0] == 14 and sum(rows[1:]) < 220
+
     def test_two_by_two_closed_form(self):
         g = np.array([[1.0, 0.5], [0.5, 1.0]])
         rep = sparse_eig_exact(g, 2)
@@ -156,6 +171,32 @@ class TestSparseEigSampled:
             exact = sparse_eig_exact(g, 3)
             sampled = sparse_eig_sampled(g, 3, draws=20, seed=seed)
             assert sampled.value >= exact.value - 1e-12
+
+    @pytest.mark.parametrize("draws", [3, 2000])
+    @pytest.mark.parametrize("s", [1, 3, 9])  # 9 = p: one group, range(p)
+    @pytest.mark.parametrize(
+        "kind", ["independent", "toeplitz", "equicorrelated", "eye", "duplicated"]
+    )
+    def test_matches_plain_twin(self, kind, s, draws):
+        # np.eye ties every off-diagonal at 0, and the duplicated and
+        # equicorrelated Grams tie partners and subsets, so the partner
+        # order and the first-minimum rule are both exercised
+        g = np.eye(9) if kind == "eye" else screen_gram(kind)
+        for seed in range(3):
+            fast = sparse_eig_sampled(g, s, draws=draws, seed=seed)
+            assert fast == sparse_eig_sampled_plain(g, s, draws=draws, seed=seed)
+
+    def test_screen_keeps_draws_from_eigvalsh(self, monkeypatch):
+        rows = []
+        solve = theory_bounds._batched_min_eig
+        monkeypatch.setattr(theory_bounds, "_batched_min_eig",
+                            lambda g, idx: (rows.append(idx.shape[0]), solve(g, idx))[1])
+        g = random_gram(np.random.default_rng(13), 200, 30)
+        rep = sparse_eig_sampled(g, 4, draws=500, seed=0)
+        assert rep == sparse_eig_sampled_plain(g, 4, draws=500, seed=0)
+        assert rep.subsets_examined == 30 + 500
+        # the 30 partner groups, then at most a few draws
+        assert rows[0] == 30 and sum(rows[1:]) < 25
 
 
 class TestConstants:
