@@ -154,8 +154,9 @@ def sparse_eig_sampled_plain(
 ) -> SparseEigReport:
     """sparse_eig_sampled without its vectorized partner search and its
     screen: a per-column loop builds the partner groups, and every group
-    and every draw gets eigvalsh. Same RNG stream, same first-index
-    argmin over [groups; draws]."""
+    and every draw gets eigvalsh. Same RNG stream; the witness is the
+    lexicographically smallest subset in [groups; draws] that attains the
+    minimum."""
     p = g.shape[0]
     if s < 1:
         raise ValueError("subset size bound s must be >= 1")
@@ -179,11 +180,11 @@ def sparse_eig_sampled_plain(
 
     idx = np.vstack([np.array(suspicious, dtype=np.intp), drawn.astype(np.intp)])
     vals = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])[:, 0]
-    i = int(np.argmin(vals))
+    low = float(vals.min())
     return SparseEigReport(
         s=int(s),
-        value=max(float(vals[i]), 0.0),
+        value=max(low, 0.0),
         method="sampled",
-        witness=tuple(int(j) for j in idx[i]),
+        witness=min(tuple(int(j) for j in row) for row in idx[vals == low]),
         subsets_examined=idx.shape[0],
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -91,7 +91,16 @@ def _lowest(g: np.ndarray, idx: np.ndarray) -> tuple[float, tuple[int, ...]]:
     lexicographically smallest subset that attains it."""
     vals = _batched_min_eig(g, idx)
     low = float(vals.min())
-    return low, min(tuple(int(j) for j in idx[i]) for i in np.flatnonzero(vals == low))
+    tied = idx[vals == low]
+    return low, tuple(int(j) for j in tied[np.lexsort(tied.T[::-1])[0]])
+
+
+def _subset_size(s: int, p: int) -> int:
+    """k = min(s, p): by Cauchy interlacing, deleting rows/columns of a
+    principal submatrix can only raise its smallest eigenvalue."""
+    if s < 1:
+        raise ValueError("subset size bound s must be >= 1")
+    return min(int(s), p)
 
 
 def _screen_level(best: float, size: int, gmax: float) -> float:
@@ -122,48 +131,72 @@ def _colex_table(n: int, m: int) -> np.ndarray:
     """All m-subsets of range(n), one per row, in colex order.
 
     Colex order sorts by the largest element first, so for every n' <= n
-    the m-subsets of range(n') are exactly the first C(n', m) rows. The
-    smallest integer dtype that holds n keeps the table compact.
+    the m-subsets of range(n') are exactly the first C(n', m) rows. Level
+    j of the build holds only the j-subsets of range(n - m + j), which
+    leave room for m - j larger elements, so no level outgrows the table.
+    The smallest integer dtype that holds n keeps the table compact.
     """
     dtype = np.min_scalar_type(n)
-    table = np.arange(n, dtype=dtype)[:, None]
+    table = np.arange(n - m + 1, dtype=dtype)[:, None]
     for j in range(2, m + 1):
         table = np.vstack(
             [np.column_stack([table[: math.comb(top, j - 1)],
                               np.full(math.comb(top, j - 1), top, dtype=dtype)])
-             for top in range(j - 1, n)]
+             for top in range(j - 1, n - m + j)]
         )
     return table
 
 
-def _prefix_schur(
-    g: np.ndarray, prefix: tuple[int, ...], r0: int, c: float
-) -> Optional[np.ndarray]:
-    """Schur complement of the prefix block in G - cI, over the indices
-    R = {r0, ..., p-1}; None when the prefix block of G - cI is not
-    positive definite (an LDL' pivot is not > 0)."""
-    q = len(prefix)
-    idx = np.r_[np.array(prefix, dtype=np.intp), np.arange(r0, g.shape[0])]
-    a = g[np.ix_(idx, idx)] - c * np.eye(idx.size)
-    for j in range(q):
-        if not a[j, j] > 0:
-            return None
-        a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j] / a[j, j], a[j, j + 1 :])
-    return a[q:, q:]
+def _eliminate(a: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` steps of an unpivoted LDL' of each symmetric matrix in the
+    batch a, in place, leaving the Schur complement of the leading block
+    in a[steps:, steps:]; per matrix, whether every pivot was > 0. The
+    batch axis is last, so each step works on contiguous vectors."""
+    ok = np.ones(a.shape[2], dtype=bool)
+    for j in range(steps):
+        ok &= a[j, j] > 0
+        ratio = a[j + 1 :, j] / np.where(ok, a[j, j], 1.0)
+        a[j + 1 :, j + 1 :] -= ratio[:, None] * a[None, j, j + 1 :]
+    return ok
 
 
 def _positive_definite_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether a restricted to each row of indices is positive definite,
-    by a vectorized LDL' factorization (every pivot > 0). The batch axis
-    is last, so each elimination step works on contiguous vectors."""
-    cols = rows.T
-    sub = np.take(a, cols[:, None, :] * a.shape[0] + cols[None, :, :])
-    ok = np.ones(rows.shape[0], dtype=bool)
-    for j in range(cols.shape[0]):
-        ok &= sub[j, j] > 0
-        ratio = sub[j + 1 :, j] / np.where(ok, sub[j, j], 1.0)
-        sub[j + 1 :, j + 1 :] -= ratio[:, None] * sub[None, j, j + 1 :]
-    return ok
+    """Whether a restricted to each row of indices is positive definite."""
+    sub = np.take(a, rows.T[:, None, :] * a.shape[0] + rows.T[None, :, :])
+    return _eliminate(sub, rows.shape[1])
+
+
+def _search(
+    g: np.ndarray,
+    size: int,
+    best: tuple[float, tuple[int, ...]],
+    blocks: Iterable[tuple[tuple[int, ...], np.ndarray]],
+) -> tuple[float, tuple[int, ...]]:
+    """Lower the incumbent ``best`` = (value, witness) over the subsets
+    prefix + (tail + r0) of each block (prefix, tails), r0 one past the
+    last prefix index. A subset S is skipped when G_S - cI is positive
+    definite, c just above the incumbent (see _screen_level), by one Schur
+    complement of the prefix block and an LDL' of the tail blocks in
+    _CHUNK-row pieces. Survivors get the eigvalsh call of a plain
+    enumeration, so the result is that of solving every subset."""
+    gmax = float(np.max(np.abs(g)))
+    for prefix, tails in blocks:
+        q = len(prefix)
+        r0 = prefix[-1] + 1 if prefix else 0
+        c = _screen_level(best[0], size, gmax)
+        head = np.array(prefix, dtype=np.intp)
+        span = np.concatenate([head, np.arange(r0, g.shape[0])])
+        a = (g.take(span, 0).take(span, 1) - c * np.eye(span.size))[:, :, None]
+        schur = a[q:, q:, 0] if _eliminate(a, q)[0] else None
+        for lo in range(0, tails.shape[0], _CHUNK):
+            rows = tails[lo : lo + _CHUNK].astype(np.intp)
+            if schur is not None:
+                rows = rows[~_positive_definite_rows(schur, rows)]
+                if rows.shape[0] == 0:
+                    continue
+            idx = np.hstack([np.broadcast_to(head, (rows.shape[0], q)), rows + r0])
+            best = min(best, _lowest(g, idx))
+    return best
 
 
 def sparse_eig_exact(
@@ -171,65 +204,36 @@ def sparse_eig_exact(
 ) -> SparseEigReport:
     """Exact minimum s-sparse eigenvalue by screened enumeration.
 
-    Only subsets of size k = min(s, p) are candidates: by Cauchy
-    interlacing, deleting rows/columns of a principal submatrix can only
-    raise the smallest eigenvalue, so smaller subsets are redundant.
-
-    The subsets are grouped by their first q = min(2, k - 2) indices, the
-    prefix (empty for k <= 2, so k <= 2 and k = p give one group); the
-    tails of every group come from one colex table. For k < p the
-    incumbent minimum ``best`` starts at the smallest value over the
-    partner groups of sparse_eig_sampled, which are candidates too. A
-    subset S is skipped when G_S - cI is positive definite, with c just
-    above ``best`` (see _screen_level): then lambda_min(G_S) > c, so S
-    can neither lower nor tie the minimum. The test is one Schur
-    complement of the prefix block per group and a vectorized LDL' of the
-    tail blocks, which together are an LDL' of G_S - cI. Subsets that are
-    not skipped get the same eigvalsh call as a plain enumeration, so the
-    value and the witness (the lexicographically smallest on exact ties)
-    do not depend on the screen or the seed.
+    Only subsets of size k = min(s, p) are candidates (see _subset_size).
+    The partner groups of sparse_eig_sampled give the first incumbent.
+    For k < p the subsets are grouped by their first q = min(2, k - 2)
+    indices, the prefix; the tails of every group come from one colex
+    table, and _search screens and solves them. The value and the witness
+    (the lexicographically smallest on exact ties) are those of a plain
+    enumeration.
 
     Raises BudgetExceeded when the C(p, k) candidates exceed ``budget``;
     callers should fall back to sparse_eig_sampled.
     """
     p = g.shape[0]
-    if s < 1:
-        raise ValueError("subset size bound s must be >= 1")
-    size = min(int(s), p)
+    size = _subset_size(s, p)
     total = math.comb(p, size)
     if total > budget:
         raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}")
 
-    q = min(2, max(size - 2, 0))
-    m = size - q
-    table = _colex_table(p - q, m)
-    gmax = float(np.max(np.abs(g)))
-    best_val = math.inf
-    best_wit: tuple[int, ...] = ()
-    if size < p:
-        best_val, best_wit = _lowest(g, _partner_groups(g, size))
-    for prefix in itertools.combinations(range(p - m), q):
-        r0 = prefix[-1] + 1 if prefix else 0
-        schur = None
-        if best_val < math.inf:
-            schur = _prefix_schur(g, prefix, r0, _screen_level(best_val, size, gmax))
-        rows = math.comb(p - r0, m)
-        for lo in range(0, rows, _CHUNK):
-            tails = table[lo : min(lo + _CHUNK, rows)].astype(np.intp)
-            if schur is not None:
-                tails = tails[~_positive_definite_rows(schur, tails)]
-                if tails.shape[0] == 0:
-                    continue
-            head = np.broadcast_to(np.array(prefix, dtype=np.intp), (tails.shape[0], q))
-            idx = np.hstack([head, tails + r0])
-            low, wit = _lowest(g, idx)
-            if low < best_val or (low == best_val and wit < best_wit):
-                best_val, best_wit = low, wit
+    best = _lowest(g, _partner_groups(g, size))
+    if size < p:  # at size = p the one subset is range(p), the one group
+        q = min(2, max(size - 2, 0))
+        m = size - q
+        table = _colex_table(p - q, m)
+        best = _search(g, size, best, (
+            (pre, table[: math.comb(p - (pre[-1] + 1 if pre else 0), m)])
+            for pre in itertools.combinations(range(p - m), q)))
     return SparseEigReport(
         s=int(s),
-        value=max(best_val, 0.0),
+        value=max(best[0], 0.0),
         method="exact",
-        witness=best_wit,
+        witness=best[1],
         subsets_examined=total,
     )
 
@@ -242,41 +246,29 @@ def sparse_eig_sampled(
 
     The value is an upper bound on the exact phi_min(s) (a minimum over a
     subfamily can only be larger), and is reported as such. The partner
-    groups are solved first and give the incumbent; a draw goes to
-    eigvalsh only when G_S - cI, with c just above the incumbent, is not
-    positive definite, since otherwise lambda_min(G_S) > c and S can
-    neither lower nor tie it. Value and witness are those of the first
-    minimum over [groups; draws], as if every subset were solved, and
+    groups are solved first and give the incumbent; the draws are one
+    block for _search, so only the draws its screen cannot clear reach
+    eigvalsh. Value and witness (the lexicographically smallest on exact
+    ties) are those of solving every group and every draw, and
     ``subsets_examined`` counts that whole sampled family.
     """
     p = g.shape[0]
-    if s < 1:
-        raise ValueError("subset size bound s must be >= 1")
+    size = _subset_size(s, p)
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    size = min(int(s), p)
 
     groups = _partner_groups(g, size)
-    vals = _batched_min_eig(g, groups)
-    i = int(np.argmin(vals))
-    best_val, best_wit = float(vals[i]), groups[i]
-
+    best = _lowest(g, groups)
     if size < p:  # at size = p every draw is range(p), the one group
         rng = np.random.default_rng(seed)
         keys = rng.random((draws, p))
         drawn = np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1)
-        c = _screen_level(best_val, size, float(np.max(np.abs(g))))
-        survivors = drawn[~_positive_definite_rows(g - c * np.eye(p), drawn)]
-        if survivors.shape[0]:
-            vals = _batched_min_eig(g, survivors)
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val, best_wit = float(vals[i]), survivors[i]
+        best = _search(g, size, best, [((), drawn)])
     return SparseEigReport(
         s=int(s),
-        value=max(best_val, 0.0),
+        value=max(best[0], 0.0),
         method="sampled",
-        witness=tuple(int(j) for j in best_wit),
+        witness=best[1],
         subsets_examined=groups.shape[0] + draws,
     )
 

@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from fwdreg import theory_bounds
 from fwdreg.core_linalg import Dataset, gram, standardize
@@ -53,6 +56,18 @@ def screen_gram(kind):
 SCREEN_KINDS = ["duplicated", "near_collinear", "toeplitz", "equicorrelated", "p_gt_n"]
 
 
+@st.composite
+def integer_grams(draw):
+    """X^T X for a small design with entries in {-1, 0, 1}: repeated,
+    negated and zero columns make many subsets share a submatrix, so
+    their eigenvalues tie exactly. Also draws s in 1..p+1."""
+    p = draw(st.integers(2, 9))
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(-1, 1), min_size=n * p, max_size=n * p))
+    x = np.array(cells, dtype=float).reshape(n, p)
+    return x.T @ x, draw(st.integers(1, p + 1))
+
+
 class TestSparseEigExact:
     def test_identity(self):
         rep = sparse_eig_exact(np.eye(6), 3)
@@ -80,11 +95,66 @@ class TestSparseEigExact:
     @pytest.mark.parametrize("kind", SCREEN_KINDS)
     def test_chunk_split_does_not_change_result(self, kind, monkeypatch):
         # with s = 5 and p = 9 the first prefix block holds C(7, 3) = 35
-        # rows, so a chunk of 4 splits every block with more than 4 tails
+        # rows and the 2000 draws are one block, so a chunk of 4 splits
+        # every block with more than 4 tails
         g = screen_gram(kind)
-        whole = sparse_eig_exact(g, 5)
+        whole = sparse_eig_exact(g, 5), sparse_eig_sampled(g, 5, draws=2000, seed=0)
         monkeypatch.setattr(theory_bounds, "_CHUNK", 4)
-        assert sparse_eig_exact(g, 5) == whole
+        assert (sparse_eig_exact(g, 5), sparse_eig_sampled(g, 5, draws=2000, seed=0)) == whole
+
+    @pytest.mark.parametrize("s", [7, 8])
+    def test_size_p_solves_one_subset(self, s, monkeypatch):
+        rows = []
+        solve = theory_bounds._batched_min_eig
+        monkeypatch.setattr(theory_bounds, "_batched_min_eig",
+                            lambda g, idx: (rows.append(idx.shape[0]), solve(g, idx))[1])
+        g = random_gram(np.random.default_rng(15), 30, 7)
+        rep = sparse_eig_exact(g, s)
+        assert rows == [1]
+        assert rep.witness == tuple(range(7)) and rep.subsets_examined == 1
+        assert rep.value == max(float(np.linalg.eigvalsh(g)[0]), 0.0)
+
+    def test_colex_table_order(self):
+        for n in range(1, 10):
+            for m in range(1, n + 1):
+                colex = sorted(itertools.combinations(range(n), m), key=lambda c: c[::-1])
+                assert theory_bounds._colex_table(n, m).tolist() == [list(c) for c in colex]
+
+    def test_colex_table_levels_stay_small(self):
+        # the C(22, 20) = 231 rows were once built through a level of
+        # C(22, 11) = 705,432 rows
+        tracemalloc.start()
+        try:
+            table = theory_bounds._colex_table(22, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (231, 20)
+        assert peak < 1_000_000
+
+    def test_leave_one_out_at_p_40(self):
+        g = random_gram(np.random.default_rng(16), 80, 40)
+        rep = sparse_eig_exact(g, 39)
+        subsets = [tuple(k for k in range(40) if k != j) for j in range(40)]
+        lams = [scipy.linalg.eigvalsh(g[np.ix_(c, c)])[0] for c in subsets]
+        assert rep.value == pytest.approx(min(lams), abs=1e-12)
+        assert rep.witness == subsets[int(np.argmin(lams))]
+        assert rep.subsets_examined == 40
+
+    @given(integer_grams(), st.integers(0, 3))
+    def test_tie_heavy_integer_grams(self, case, seed):
+        g, s = case
+        p = g.shape[0]
+        rep = sparse_eig_exact(g, s)
+        assert rep.value == pytest.approx(sparse_eig_bruteforce(g, s).value, abs=1e-12)
+        lams = {c: float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0])
+                for c in itertools.combinations(range(p), min(s, p))}
+        low = min(lams.values())
+        assert rep.value == max(low, 0.0)
+        # combinations() is lexicographic, so the first subset at the minimum
+        assert rep.witness == next(c for c, lam in lams.items() if lam == low)
+        sampled = sparse_eig_sampled(g, s, draws=20, seed=seed)
+        assert sampled == sparse_eig_sampled_plain(g, s, draws=20, seed=seed)
 
     def test_partner_groups_seed_the_incumbent(self, monkeypatch):
         # the 14 partner groups are solved first; their minimum screens the
@@ -180,11 +250,18 @@ class TestSparseEigSampled:
     def test_matches_plain_twin(self, kind, s, draws):
         # np.eye ties every off-diagonal at 0, and the duplicated and
         # equicorrelated Grams tie partners and subsets, so the partner
-        # order and the first-minimum rule are both exercised
+        # order and the smallest-witness tie rule are both exercised
         g = np.eye(9) if kind == "eye" else screen_gram(kind)
         for seed in range(3):
             fast = sparse_eig_sampled(g, s, draws=draws, seed=seed)
             assert fast == sparse_eig_sampled_plain(g, s, draws=draws, seed=seed)
+
+    def test_exact_ties_keep_smallest_witness(self):
+        # every 10-subset of this Gram has the same submatrix, so all tie;
+        # the first partner group is (0, ..., 8, 10)
+        g = np.full((12, 12), 0.4) + 0.6 * np.eye(12)
+        rep = sparse_eig_sampled(g, 10, draws=500, seed=0)
+        assert rep.witness == tuple(range(10)) == sparse_eig_exact(g, 10).witness
 
     def test_screen_keeps_draws_from_eigvalsh(self, monkeypatch):
         rows = []
