@@ -403,6 +403,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_sparse_eig(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     names, raw, _y = read_csv(args.input)
     x = standardize(raw)
     ds = Dataset(x=x, y=np.zeros(x.shape[0]))
@@ -419,7 +421,7 @@ def cmd_sparse_eig(args: argparse.Namespace) -> int:
             return EXIT_INPUT
     else:
         rep = theory_bounds.sparse_eig_sampled(
-            g, args.s, draws=args.draws, seed=args.seed or 0
+            g, args.s, draws=args.draws, seed=args.seed
         )
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -61,6 +61,8 @@ class SimConfig:
             raise ValueError(f"theta_pattern must be one of {THETA_PATTERNS}")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -9,7 +9,6 @@ fitted instance with known ground truth.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -36,6 +35,9 @@ DEFAULT_SUBSET_BUDGET = 10_000_000
 THEOREM3_RTOL = 1e-9
 
 _CHUNK = 20_000
+
+# The one empty prefix of a _search block whose tails are whole subsets.
+_NO_PREFIX = np.zeros((1, 0), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -150,52 +152,65 @@ def _colex_table(n: int, m: int) -> np.ndarray:
 def _eliminate(a: np.ndarray, steps: int) -> np.ndarray:
     """``steps`` steps of an unpivoted LDL' of each symmetric matrix in the
     batch a, in place, leaving the Schur complement of the leading block
-    in a[steps:, steps:]; per matrix, whether every pivot was > 0. The
-    batch axis is last, so each step works on contiguous vectors."""
+    in a[steps:, steps:]; per matrix, whether every pivot was > 0. A
+    matrix is left as it is from its first pivot <= 0 on, so its entries
+    cannot grow into an overflow. The batch axis is last, so each step
+    works on contiguous vectors."""
     ok = np.ones(a.shape[2], dtype=bool)
     for j in range(steps):
         ok &= a[j, j] > 0
-        ratio = a[j + 1 :, j] / np.where(ok, a[j, j], 1.0)
+        ratio = a[j + 1 :, j] / np.where(ok, a[j, j], np.inf)
         a[j + 1 :, j + 1 :] -= ratio[:, None] * a[None, j, j + 1 :]
     return ok
-
-
-def _positive_definite_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether a restricted to each row of indices is positive definite."""
-    sub = np.take(a, rows.T[:, None, :] * a.shape[0] + rows.T[None, :, :])
-    return _eliminate(sub, rows.shape[1])
 
 
 def _search(
     g: np.ndarray,
     size: int,
     best: tuple[float, tuple[int, ...]],
-    blocks: Iterable[tuple[tuple[int, ...], np.ndarray]],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[float, tuple[int, ...]]:
     """Lower the incumbent ``best`` = (value, witness) over the subsets
-    prefix + (tail + r0) of each block (prefix, tails), r0 one past the
-    last prefix index. A subset S is skipped when G_S - cI is positive
-    definite, c just above the incumbent (see _screen_level), by one Schur
-    complement of the prefix block and an LDL' of the tail blocks in
-    _CHUNK-row pieces. Survivors get the eigvalsh call of a plain
-    enumeration, so the result is that of solving every subset."""
+    head + (tail + r0) of each block (heads, tails): every row of heads is
+    a prefix ending at r0 - 1 (r0 = 0 for one empty prefix), and every
+    row of tails an index set within range(p - r0). A subset S is skipped
+    when G_S - cI is positive definite, c just above the incumbent (see
+    _screen_level). One _eliminate over a batch of prefixes gives their
+    Schur complements on r0..p-1, and one more runs the LDL' of the tail
+    blocks over the (tail, prefix) pairs in pieces of at most _CHUNK
+    pairs; a prefix batch holds no more entries than a piece's _CHUNK
+    tail blocks. Survivors get the eigvalsh call of a plain enumeration, so
+    the result is that of solving every subset."""
+    p = g.shape[0]
     gmax = float(np.max(np.abs(g)))
-    for prefix, tails in blocks:
-        q = len(prefix)
-        r0 = prefix[-1] + 1 if prefix else 0
-        c = _screen_level(best[0], size, gmax)
-        head = np.array(prefix, dtype=np.intp)
-        span = np.concatenate([head, np.arange(r0, g.shape[0])])
-        a = (g.take(span, 0).take(span, 1) - c * np.eye(span.size))[:, :, None]
-        schur = a[q:, q:, 0] if _eliminate(a, q)[0] else None
-        for lo in range(0, tails.shape[0], _CHUNK):
-            rows = tails[lo : lo + _CHUNK].astype(np.intp)
-            if schur is not None:
-                rows = rows[~_positive_definite_rows(schur, rows)]
-                if rows.shape[0] == 0:
-                    continue
-            idx = np.hstack([np.broadcast_to(head, (rows.shape[0], q)), rows + r0])
-            best = min(best, _lowest(g, idx))
+    for heads, tails in blocks:
+        q, m = heads.shape[1], tails.shape[1]
+        r0 = int(heads[0, -1]) + 1 if q else 0
+        span = q + p - r0
+        diag = np.arange(span)
+        tail_rows = np.arange(r0, p)
+        per_batch = max(1, _CHUNK * m * m // (span * span))
+        for lo in range(0, heads.shape[0], per_batch):
+            batch = heads[lo : lo + per_batch].astype(np.intp)
+            width = batch.shape[0]
+            a = np.empty((span, span, width))
+            a[:q, :q] = g[batch.T[:, None, :], batch.T]
+            a[:q, q:] = g[batch.T[:, None, :], tail_rows[:, None]]
+            a[q:, :q] = g[tail_rows[:, None, None], batch.T]
+            a[q:, q:] = g[r0:, r0:, None]
+            a[diag, diag] -= _screen_level(best[0], size, gmax)
+            heads_ok = _eliminate(a, q)
+            entries = a.reshape(span * span, width)
+            per_piece = max(1, _CHUNK // width)
+            for t0 in range(0, tails.shape[0], per_piece):
+                # one tail per column, so every gathered block is contiguous
+                piece = tails[t0 : t0 + per_piece].T.astype(np.intp, order="C")
+                at = piece + q
+                ok = _eliminate(entries[at[:, None, :] * span + at].reshape(m, m, -1), m)
+                t, b = np.nonzero(~(ok.reshape(-1, width) & heads_ok))
+                if t.size:
+                    idx = np.hstack([batch[b], piece[:, t].T + r0])
+                    best = min(best, _lowest(g, idx))
     return best
 
 
@@ -206,10 +221,12 @@ def sparse_eig_exact(
 
     Only subsets of size k = min(s, p) are candidates (see _subset_size).
     The partner groups of sparse_eig_sampled give the first incumbent.
-    For k < p the subsets are grouped by their first q = min(2, k - 2)
-    indices, the prefix; the tails of every group come from one colex
-    table, and _search screens and solves them. The value and the witness
-    (the lexicographically smallest on exact ties) are those of a plain
+    For k < p the subsets are split into a prefix of their first
+    q = max(k - 3, 0) indices and a tail of the rest, at most three. Each
+    block of _search holds every prefix ending at r0 - 1 with every tail
+    in r0..p-1; both come from colex tables, whose m-subsets of range(n')
+    are the first C(n', m) rows. The value and the witness (the
+    lexicographically smallest on exact ties) are those of a plain
     enumeration.
 
     Raises BudgetExceeded when the C(p, k) candidates exceed ``budget``;
@@ -223,12 +240,17 @@ def sparse_eig_exact(
 
     best = _lowest(g, _partner_groups(g, size))
     if size < p:  # at size = p the one subset is range(p), the one group
-        q = min(2, max(size - 2, 0))
+        q = max(size - 3, 0)
         m = size - q
-        table = _colex_table(p - q, m)
-        best = _search(g, size, best, (
-            (pre, table[: math.comb(p - (pre[-1] + 1 if pre else 0), m)])
-            for pre in itertools.combinations(range(p - m), q)))
+        tails = _colex_table(p - q, m)
+        if q == 0:
+            blocks = [(_NO_PREFIX, tails)]
+        else:
+            # the prefixes ending at r0 - 1 are rows C(r0 - 1, q)..C(r0, q) - 1
+            heads = _colex_table(p - m, q)
+            blocks = ((heads[math.comb(r0 - 1, q) : math.comb(r0, q)],
+                       tails[: math.comb(p - r0, m)]) for r0 in range(q, p - m + 1))
+        best = _search(g, size, best, blocks)
     return SparseEigReport(
         s=int(s),
         value=max(best[0], 0.0),
@@ -263,7 +285,7 @@ def sparse_eig_sampled(
         rng = np.random.default_rng(seed)
         keys = rng.random((draws, p))
         drawn = np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1)
-        best = _search(g, size, best, [((), drawn)])
+        best = _search(g, size, best, [(_NO_PREFIX, drawn)])
     return SparseEigReport(
         s=int(s),
         value=max(best[0], 0.0),

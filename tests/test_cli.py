@@ -249,6 +249,34 @@ def test_non_finite_threshold_or_safety_rejected(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config_seed, flags, message",
+    [
+        ("verify", 5, ["--seed", "-5"], "seed must be >= 0"),
+        ("verify", -1, [], "seed must be >= 0"),
+        ("rates", 5, ["--seed", "-5"], "seed must be >= 0"),
+        ("sparse-eig", None, ["--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["verify-flag", "verify-config", "rates-flag", "sparse-eig-flag"],
+)
+def test_negative_seed_rejected(tmp_path, capsys, command, config_seed, flags, message):
+    # numpy's own "expected non-negative integer" named no input
+    if command == "sparse-eig":
+        source = ["-i", str(DATA / "golden_fit_input.csv"), "--s", "2",
+                  "--mode", "sampled", "--draws", "10"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(n=60, p=8, s0=2, seed=config_seed)))
+        source = ["--config", str(cfg), "--replications", "1"]
+        if command == "rates":
+            source += ["--n-grid", "60,80,100,120"]
+    out = tmp_path / "out"
+    code = main([command, *source, *flags, "-o", str(out)])
+    assert code == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestVerifyCommand:
     def _config(self, tmp_path, **overrides):
         cfg = dict(n=100, p=20, s0=2, design="independent", rho=0.0,

@@ -81,7 +81,7 @@ class TestSparseEigExact:
         equi = screen_gram("equicorrelated")
         assert sparse_eig_exact(equi, s).witness == tuple(range(s))
 
-    @pytest.mark.parametrize("s", range(1, 6))
+    @pytest.mark.parametrize("s", range(1, 9))  # prefix depth q = max(s - 3, 0) up to 5
     @pytest.mark.parametrize("kind", SCREEN_KINDS)
     def test_screen_matches_oracle(self, kind, s):
         g = screen_gram(kind)
@@ -94,13 +94,71 @@ class TestSparseEigExact:
 
     @pytest.mark.parametrize("kind", SCREEN_KINDS)
     def test_chunk_split_does_not_change_result(self, kind, monkeypatch):
-        # with s = 5 and p = 9 the first prefix block holds C(7, 3) = 35
-        # rows and the 2000 draws are one block, so a chunk of 4 splits
-        # every block with more than 4 tails
+        # with s = 5 and p = 9 the prefixes have q = 2 indices and the r0
+        # blocks r0 = 2..6 hold 1..5 prefixes and C(7, 3) = 35..1 tails.
+        # A chunk of 4 puts one prefix in each batch (4 * 3^2 = 36 is less
+        # than twice 5^2, the smallest span^2) and at most 4 tails in each
+        # piece; the 2000 draws are one block of 500 pieces
         g = screen_gram(kind)
         whole = sparse_eig_exact(g, 5), sparse_eig_sampled(g, 5, draws=2000, seed=0)
+        calls = []
+        eliminate = theory_bounds._eliminate
+        monkeypatch.setattr(theory_bounds, "_eliminate",
+                            lambda a, steps: (calls.append((steps, a.shape[2])),
+                                              eliminate(a, steps))[1])
         monkeypatch.setattr(theory_bounds, "_CHUNK", 4)
-        assert (sparse_eig_exact(g, 5), sparse_eig_sampled(g, 5, draws=2000, seed=0)) == whole
+        assert sparse_eig_exact(g, 5) == whole[0]
+        batches = [width for steps, width in calls if steps == 2]
+        pieces = [width for steps, width in calls if steps == 3]
+        assert len(batches) == 1 + 2 + 3 + 4 + 5 and set(batches) == {1}
+        assert len(pieces) == sum(math.ceil(math.comb(9 - r0, 3) / 4) * (r0 - 1)
+                                  for r0 in range(2, 7))
+        assert max(pieces) == 4
+        assert sparse_eig_sampled(g, 5, draws=2000, seed=0) == whole[1]
+
+    def test_equicorrelated_solves_each_block_once(self, monkeypatch):
+        # rho = 0.5 ties every subset at 0.5, so nothing is screened out:
+        # the partner groups, then one eigvalsh batch per r0 block
+        # (r0 = 3..12 at s = 6, p = 15), not one per prefix
+        calls = []
+        lowest = theory_bounds._lowest
+        monkeypatch.setattr(theory_bounds, "_lowest",
+                            lambda g, idx: (calls.append(idx.shape[0]), lowest(g, idx))[1])
+        g = np.full((15, 15), 0.5) + 0.5 * np.eye(15)
+        rep = sparse_eig_exact(g, 6)
+        assert rep.witness == tuple(range(6))
+        assert rep.value == pytest.approx(0.5, abs=1e-12)
+        assert calls[0] == 15 and sum(calls[1:]) == math.comb(15, 6)
+        assert len(calls) <= 1 + 10
+
+    def test_memory_stays_bounded(self):
+        # every piece and prefix batch holds at most _CHUNK 3 x 3 blocks;
+        # the old 10-index tails of p = 20, s = 12 peaked at 50 MB
+        g = random_gram(np.random.default_rng(17), 100, 20)
+        tracemalloc.start()
+        try:
+            rep = sparse_eig_exact(g, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.subsets_examined == math.comb(20, 12)
+        assert peak < 16_000_000
+
+    @pytest.mark.parametrize("s", [14, 16])
+    def test_rank_deficient_gram_does_not_overflow(self, s):
+        # on this rank-3 Gram most LDL' pivots of G - cI fail; a matrix
+        # must not be updated past its first failed pivot, or its entries
+        # overflow (a RuntimeWarning, so an error in this suite)
+        x = np.random.default_rng(1).integers(-1, 2, (3, 17)).astype(float)
+        g = x.T @ x
+        rep = sparse_eig_exact(g, s)
+        lams = {c: float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0])
+                for c in itertools.combinations(range(17), s)}
+        low = min(lams.values())
+        assert rep.value == max(low, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert rep.witness == next(c for c, lam in lams.items() if lam == low)
+        sampled = sparse_eig_sampled(g, s, draws=200, seed=0)
+        assert sampled == sparse_eig_sampled_plain(g, s, draws=200, seed=0)
 
     @pytest.mark.parametrize("s", [7, 8])
     def test_size_p_solves_one_subset(self, s, monkeypatch):
@@ -158,8 +216,8 @@ class TestSparseEigExact:
 
     def test_partner_groups_seed_the_incumbent(self, monkeypatch):
         # the 14 partner groups are solved first; their minimum screens the
-        # first prefix group (0, 1) too, whose C(12, 3) = 220 subsets would
-        # otherwise all reach eigvalsh
+        # first block, prefix (0, 1), too, whose C(12, 3) = 220 subsets
+        # would otherwise all reach eigvalsh
         rows = []
         solve = theory_bounds._batched_min_eig
         monkeypatch.setattr(theory_bounds, "_batched_min_eig",
