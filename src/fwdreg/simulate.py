@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,13 +63,6 @@ class SimConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SimConfig":
-        return cls(**d)
-
 
 def _design_cholesky(cfg: SimConfig) -> np.ndarray | None:
     """Lower Cholesky factor of the population covariance, or None for the
@@ -118,26 +110,21 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
     return Dataset(x=x, y=y, theta0=theta0, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class ThresholdChoice:
-    t: float
-    floored: bool
-
-
-def oracle_threshold(ds: Dataset, phi: float, safety: float = 1.0) -> ThresholdChoice:
+def oracle_threshold(ds: Dataset, phi: float, safety: float = 1.0) -> float:
     """Smallest threshold (scaled by safety^2) meeting the regularization
     condition sqrt(t) >= 2 * ||E_n[x_i eps_i]||_inf / phi.
 
     Uses the true disturbances, available only in simulation; this
     deliberately isolates bound verification from feasible threshold
-    selection. A degenerate t below THRESHOLD_FLOOR is floored and flagged.
+    selection. A degenerate t below THRESHOLD_FLOOR is floored.
     """
     noise_sup = noise_covariate_sup(ds)
     if phi <= 0:
-        raise NonpositiveEigenvalue(f"phi = {phi}")
+        raise NonpositiveEigenvalue(
+            f"minimum sparse eigenvalue phi = {phi} is not positive, so no "
+            f"threshold meets the regularization premise (n = {ds.n}; phi is 0 "
+            f"at every subset size >= n)"
+        )
     if not (math.isfinite(safety) and safety >= 1):
         raise ValueError(f"safety factor must be finite and >= 1, got {safety}")
-    t = (safety * 2.0 * noise_sup / phi) ** 2
-    if t < THRESHOLD_FLOOR:
-        return ThresholdChoice(t=THRESHOLD_FLOOR, floored=True)
-    return ThresholdChoice(t=t, floored=False)
+    return max((safety * 2.0 * noise_sup / phi) ** 2, THRESHOLD_FLOOR)

@@ -9,6 +9,7 @@ fitted instance with known ground truth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -236,7 +237,10 @@ def sparse_eig_exact(
     size = _subset_size(s, p)
     total = math.comb(p, size)
     if total > budget:
-        raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}")
+        raise BudgetExceeded(
+            f"C({p}, {size}) = {total} subsets > budget {budget}; sparse_eig_sampled "
+            f"(sparse-eig --mode sampled) gives an upper bound without a budget"
+        )
 
     best = _lowest(g, _partner_groups(g, size))
     if size < p:  # at size = p the one subset is range(p), the one group
@@ -340,14 +344,7 @@ EigSource = Callable[[int], SparseEigReport]
 
 def exact_eig_source(g: np.ndarray) -> EigSource:
     """Memoized size -> exact SparseEigReport lookup on one Gram matrix."""
-    cache: dict[int, SparseEigReport] = {}
-
-    def source(size: int) -> SparseEigReport:
-        if size not in cache:
-            cache[size] = sparse_eig_exact(g, size)
-        return cache[size]
-
-    return source
+    return functools.cache(functools.partial(sparse_eig_exact, g))
 
 
 def verify_theorem1(

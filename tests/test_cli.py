@@ -25,6 +25,10 @@ from fwdreg.simulate import SimConfig
 
 DATA = pathlib.Path(__file__).parent / "data"
 
+# the fallback that a BudgetExceeded message names
+BUDGET_HINT = ("sparse_eig_sampled (sparse-eig --mode sampled) gives an upper bound "
+               "without a budget")
+
 
 def write_rows(path, header, rows):
     with open(path, "w", newline="") as fh:
@@ -256,8 +260,11 @@ def test_non_finite_threshold_or_safety_rejected(
         ("verify", -1, [], "seed must be >= 0"),
         ("rates", 5, ["--seed", "-5"], "seed must be >= 0"),
         ("sparse-eig", None, ["--seed", "-1"], "--seed must be >= 0"),
+        ("verify", 5, ["--phi-size", "0"], "phi_size must be >= 1"),
+        ("verify", 5, ["--phi-size", "-3"], "phi_size must be >= 1"),
     ],
-    ids=["verify-flag", "verify-config", "rates-flag", "sparse-eig-flag"],
+    ids=["verify-flag", "verify-config", "rates-flag", "sparse-eig-flag",
+         "verify-phi-size-0", "verify-phi-size-negative"],
 )
 def test_negative_seed_rejected(tmp_path, capsys, command, config_seed, flags, message):
     # numpy's own "expected non-negative integer" named no input
@@ -274,6 +281,25 @@ def test_negative_seed_rejected(tmp_path, capsys, command, config_seed, flags, m
     code = main([command, *source, *flags, "-o", str(out)])
     assert code == EXIT_INPUT
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("verify", ["--replications", "2"]),
+     ("rates", ["--n-grid", "3,4,5,6", "--replications", "2"])],
+)
+def test_zero_sparse_eigenvalue_rejected(tmp_path, capsys, command, flags):
+    # at n = 3 every subset of the default phi size 4 is singular
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "p": 10, "s0": 2, "seed": 3}))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), *flags, "-o", str(out)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert ("error: minimum sparse eigenvalue phi = 0.0 is not positive, so no "
+            "threshold meets the regularization premise (n = 3;") in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -314,12 +340,25 @@ class TestVerifyCommand:
         med = float(np.median([r["s_hat"] for r in report["records"]]))
         assert report["aggregates"]["s_hat"]["median"] == med
 
-    def test_exact_eig_budget_guard(self, tmp_path):
+    def test_exact_eig_budget_guard(self, tmp_path, capsys):
         # p large enough that exact enumeration is out of budget
         cfg = self._config(tmp_path, p=500, n=50, s0=2)
+        out = tmp_path / "o.json"
         code = main(["verify", "--config", cfg, "--replications", "1",
-                     "--phi-size", "8", "-o", str(tmp_path / "o.json")])
+                     "--phi-size", "8", "-o", str(out)])
         assert code == EXIT_INPUT
+        assert BUDGET_HINT in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_matches_config_seed(self, tmp_path):
+        outputs = []
+        for seed, flags in ((101, ["--seed", "11"]), (11, [])):
+            out = tmp_path / f"report{seed}.json"
+            assert main(["verify", "--config", self._config(tmp_path, seed=seed),
+                         "--replications", "2", *flags, "-o", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["config"]["seed"] == 11
 
     def test_rejects_zero_threads(self, tmp_path, capsys):
         code = main(["verify", "--config", self._config(tmp_path),
@@ -399,6 +438,19 @@ class TestRates:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_seed_flag_matches_config_seed(self, tmp_path, capsys):
+        outputs = []
+        for seed, flags in ((101, ["--seed", "5"]), (5, [])):
+            cfg_path = tmp_path / f"cfg{seed}.json"
+            cfg_path.write_text(json.dumps(
+                dict(n=100, p=10, s0=2, noise_sd=1.0, seed=seed)))
+            out = tmp_path / f"rates{seed}.csv"
+            assert main(["rates", "--config", str(cfg_path),
+                         "--n-grid", "100,200,400,800", "--replications", "3",
+                         *flags, "-o", str(out)]) == EXIT_OK
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     def test_rejects_short_grid(self):
         cfg = SimConfig(n=50, p=10, s0=2, seed=1)
         with pytest.raises(ValueError):
@@ -446,10 +498,12 @@ class TestSparseEigCommand:
         raw = rng.standard_normal((40, 30))
         write_rows(path, [f"x{j}" for j in range(30)],
                    [[float(v) for v in row] for row in raw])
+        out = tmp_path / "o.json"
         code = main(["sparse-eig", "-i", str(path), "--s", "12",
-                     "--mode", "exact", "-o", str(tmp_path / "o.json")])
+                     "--mode", "exact", "-o", str(out)])
         assert code == EXIT_INPUT
-        assert "sampled" in capsys.readouterr().err
+        assert BUDGET_HINT in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fwdreg import simulate
 from fwdreg.core_linalg import Dataset, gram
 from fwdreg.errors import MissingGroundTruth
 from fwdreg.simulate import (
+    THRESHOLD_FLOOR,
     SimConfig,
     oracle_threshold,
     simulate_dataset,
@@ -38,7 +40,7 @@ class TestSimConfig:
 
     def test_json_round_trip(self):
         cfg = SimConfig(n=50, p=10, s0=3, design="toeplitz", rho=0.4, seed=9)
-        assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert SimConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestSimulateDataset:
@@ -121,18 +123,14 @@ def test_toeplitz_build_bit_identical_to_scipy(monkeypatch, p, rho):
 class TestOracleThreshold:
     def test_noiseless_floors(self):
         ds = simulate_dataset(SimConfig(n=30, p=5, s0=1, noise_sd=0.0, seed=6))
-        choice = oracle_threshold(ds, phi=1.0)
-        assert choice.t == 1e-12
-        assert choice.floored
+        assert oracle_threshold(ds, phi=1.0) == THRESHOLD_FLOOR == 1e-12
 
     def test_formula_plug_in(self):
         # hand instance with E_n[x eps] = 0.1 exactly
         x = np.array([[1.0], [-1.0]])
         eps = np.array([0.1, -0.1])
         ds = Dataset(x=x, y=eps.copy(), theta0=np.zeros(1), epsilon=eps)
-        choice = oracle_threshold(ds, phi=1.0, safety=1.0)
-        assert choice.t == pytest.approx(0.04, abs=1e-15)
-        assert not choice.floored
+        assert oracle_threshold(ds, phi=1.0, safety=1.0) == pytest.approx(0.04, abs=1e-15)
 
     def test_requires_ground_truth(self):
         ds = Dataset(x=np.array([[1.0], [-1.0]]), y=np.zeros(2))
@@ -147,7 +145,7 @@ class TestOracleThreshold:
             ds = simulate_dataset(
                 SimConfig(n=n, p=p, s0=1, noise_sd=1.0, seed=seed)
             )
-            ts.append(oracle_threshold(ds, phi=phi, safety=safety).t)
+            ts.append(oracle_threshold(ds, phi=phi, safety=safety))
         ref = safety**2 * 2.0 * math.log(2 * p) / n / phi**2
         ratio = float(np.median(ts)) / ref
         assert 0.25 <= ratio <= 4.0

@@ -269,6 +269,24 @@ class TestSparseEigExact:
             assert sub >= full - 1e-12
 
 
+def test_exact_eig_source_solves_each_size_once(monkeypatch):
+    sizes = []
+    solve = theory_bounds.sparse_eig_exact
+
+    def counting(g, s):
+        sizes.append(s)
+        return solve(g, s)
+
+    monkeypatch.setattr(theory_bounds, "sparse_eig_exact", counting)
+    g = random_gram(np.random.default_rng(16), 30, 7)
+    eig = exact_eig_source(g)
+    reports = [eig(s) for s in (2, 3, 2, 2, 3, 5)]
+    assert sizes == [2, 3, 5]
+    assert eig.cache_info().hits == 3 and eig.cache_info().misses == 3
+    assert reports[0] is reports[2] is reports[3]
+    assert reports[1] == solve(g, 3)
+
+
 class TestSparseEigSampled:
     def test_identity_any_draws(self):
         rep = sparse_eig_sampled(np.eye(10), 4, draws=5, seed=0)
