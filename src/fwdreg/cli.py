@@ -163,11 +163,7 @@ def fit_csv(path: str, t: float) -> dict:
         "coefficients": {names[j]: float(beta[j]) for j in fr.support},
         "intercept": intercept,
         "loss": fr.loss,
-        "trace": [
-            {"index": s.index, "name": names[s.index], "gain": s.gain,
-             "loss_after": s.loss_after}
-            for s in fr.trace.steps
-        ],
+        "trace": [{**asdict(s), "name": names[s.index]} for s in fr.trace.steps],
     }
 
 
@@ -197,9 +193,8 @@ def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
     fr = forward_regression(ds, t)
 
     s0_support = set(np.flatnonzero(ds.theta0).tolist())
-    s0 = len(s0_support)
     bounds = theory_bounds.verify_theorem1(fr, ds, t, eig)
-    l2_ok, l1_ok = theory_bounds.verify_theorem3(fr, eig(max(fr.s_hat + s0, 1)))
+    l2_ok, l1_ok = theory_bounds.verify_theorem3(fr, ds, eig)
     return {
         "seed": rep_cfg.seed,
         "t": t,
@@ -209,18 +204,10 @@ def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
         "pred_error_norm": fr.pred_error_norm,
         "l1_error": fr.l1_error,
         "l2_error": fr.l2_error,
-        "noise_sup": bounds.noise_sup,
-        "c1": bounds.c1,
-        "pred_bound_holds": bounds.pred_bound_holds,
-        "threshold_ok": bounds.threshold_ok,
-        "c2_of_m": [
-            {"m": c.m, "c2": c.c2, "holds": c.holds} for c in bounds.c2_of_m
-        ],
+        **asdict(bounds),
         "count_bound_holds": all(c.holds for c in bounds.c2_of_m),
         "theorem3_l2_ok": l2_ok,
         "theorem3_l1_ok": l1_ok,
-        "eig_method": bounds.eig_method,
-        "caveat_flag": bounds.caveat_flag,
     }
 
 
@@ -320,7 +307,6 @@ def run_rates(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be increasing with at least 4 points")
     phi_size = default_phi_size(cfg)
@@ -367,20 +353,14 @@ def cmd_rates(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config, args.seed)
     summary = run_rates(
         cfg,
-        n_grid=[int(v) for v in args.n_grid.split(",")],
+        n_grid=args.n_grid,
         replications=args.replications,
         safety=args.safety,
         draws=args.draws,
         threads=args.threads,
     )
-    write_csv(
-        args.out,
-        ["n", "median_pred_error_norm", "median_s_hat"],
-        [
-            [r["n"], repr(r["median_pred_error_norm"]), repr(r["median_s_hat"])]
-            for r in summary["rows"]
-        ],
-    )
+    rows = summary["rows"]
+    write_csv(args.out, list(rows[0]), [list(r.values()) for r in rows])
     print(json.dumps({"slope": summary["slope"],
                       "slope_flag": summary["slope_flag"]}))
     return EXIT_OK
@@ -405,12 +385,8 @@ def cmd_sparse_eig(args: argparse.Namespace) -> int:
         )
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "s": rep.s,
-        "value": rep.value,
-        "method": rep.method,
-        "witness": list(rep.witness),
+        **asdict(rep),
         "witness_names": [names[j] for j in rep.witness],
-        "subsets_examined": rep.subsets_examined,
         "upper_bound_only": rep.method == "sampled",
     }
     write_json(args.out, payload)
@@ -464,6 +440,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # parser / dispatch
 
 
+def _n_grid(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwdreg",
@@ -471,49 +455,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit a CSV dataset by forward regression")
-    fit.add_argument("--input", "-i", required=True)
-    fit.add_argument("--threshold", "-t", type=float, required=True)
-    fit.add_argument("--out", "-o", required=True)
+    # options shared by several commands, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", "-o", required=True, help="output path")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--input", "-i", required=True)
+    threshold = argparse.ArgumentParser(add_help=False)
+    threshold.add_argument("--threshold", "-t", type=float, required=True)
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--config", required=True, help="SimConfig JSON path")
+    sim.add_argument("--replications", type=int, default=100)
+    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--safety", type=float, default=1.1)
+
+    fit = sub.add_parser("fit", parents=[data, threshold, out],
+                         help="fit a CSV dataset by forward regression")
     fit.set_defaults(func=cmd_fit)
 
-    verify = sub.add_parser(
-        "verify", help="simulate and check prediction/selection bounds"
-    )
-    verify.add_argument("--config", required=True, help="SimConfig JSON path")
-    verify.add_argument("--replications", type=int, default=100)
-    verify.add_argument("--out", "-o", required=True)
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--threads", type=int, default=1)
-    verify.add_argument("--safety", type=float, default=1.1)
+    verify = sub.add_parser("verify", parents=[sim, out],
+                            help="simulate and check prediction/selection bounds")
     verify.add_argument("--phi-size", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 
-    rates = sub.add_parser("rates", help="error-rate sweep over sample sizes")
-    rates.add_argument("--config", required=True, help="SimConfig JSON path")
-    rates.add_argument("--n-grid", required=True, help="comma list, e.g. 200,400,800,1600")
-    rates.add_argument("--replications", type=int, default=100)
-    rates.add_argument("--out", "-o", required=True, help="output CSV path")
-    rates.add_argument("--seed", type=int, default=None)
-    rates.add_argument("--threads", type=int, default=1)
-    rates.add_argument("--safety", type=float, default=1.1)
+    rates = sub.add_parser("rates", parents=[sim, out],
+                           help="error-rate sweep over sample sizes")
+    rates.add_argument("--n-grid", type=_n_grid, required=True,
+                       help="comma list, e.g. 200,400,800,1600")
     rates.add_argument("--draws", type=int, default=500)
     rates.set_defaults(func=cmd_rates)
 
-    eig = sub.add_parser("sparse-eig", help="minimum sparse eigenvalue of the Gram matrix")
-    eig.add_argument("--input", "-i", required=True)
+    eig = sub.add_parser("sparse-eig", parents=[data, out],
+                         help="minimum sparse eigenvalue of the Gram matrix")
     eig.add_argument("--s", type=int, required=True)
     eig.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     eig.add_argument("--draws", type=int, default=1000)
     eig.add_argument("--seed", type=int, default=0)
-    eig.add_argument("--out", "-o", required=True)
     eig.set_defaults(func=cmd_sparse_eig)
 
-    compare = sub.add_parser("compare", help="greedy vs exhaustive best subset")
-    compare.add_argument("--input", "-i", required=True)
-    compare.add_argument("--threshold", "-t", type=float, required=True)
+    compare = sub.add_parser("compare", parents=[data, threshold, out],
+                             help="greedy vs exhaustive best subset")
     compare.add_argument("--k", type=int, default=None)
-    compare.add_argument("--out", "-o", required=True)
     compare.set_defaults(func=cmd_compare)
 
     return parser

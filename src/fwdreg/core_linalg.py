@@ -26,6 +26,9 @@ COLLINEAR_TOL = 1e-10
 # Rank test for least squares: smallest singular value relative to largest.
 RANK_TOL = 1e-10
 
+# Largest column mean and second-moment deviation from 1 of a standardized design.
+STANDARDIZED_TOL = 1e-8
+
 
 def en_dot(u: np.ndarray, v: np.ndarray) -> float:
     """(1/n)-scaled inner product of two vectors in R^n."""
@@ -94,11 +97,11 @@ def standardize(raw: np.ndarray) -> np.ndarray:
     return (raw - mean) / scale
 
 
-def is_standardized(x: np.ndarray, tol: float = 1e-8) -> bool:
+def is_standardized(x: np.ndarray) -> bool:
     """True when every column is centered and has unit second moment."""
     return bool(
-        np.max(np.abs(x.mean(axis=0))) <= tol
-        and np.max(np.abs((x * x).mean(axis=0) - 1.0)) <= tol
+        np.max(np.abs(x.mean(axis=0))) <= STANDARDIZED_TOL
+        and np.max(np.abs((x * x).mean(axis=0) - 1.0)) <= STANDARDIZED_TOL
     )
 
 

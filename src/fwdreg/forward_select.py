@@ -42,7 +42,6 @@ class SelectionTrace:
     the threshold and the working loss drops by exactly that gain."""
 
     steps: tuple[SelectionStep, ...]
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def forward_regression(ds: Dataset, t: float) -> FitResult:
         l2, l1, pred = parameter_errors(ds, theta_hat, ds.theta0)
 
     return FitResult(
-        trace=SelectionTrace(steps=tuple(steps), threshold=float(t)),
+        trace=SelectionTrace(steps=tuple(steps)),
         theta_hat=theta_hat,
         support=support,
         loss=loss,

@@ -347,6 +347,24 @@ def exact_eig_source(g: np.ndarray) -> EigSource:
     return functools.cache(functools.partial(sparse_eig_exact, g))
 
 
+def _fit_size_eig(
+    fr: FitResult, ds: Dataset, eig: EigSource
+) -> tuple[SparseEigReport, set[int]]:
+    """phi_min(max(s_hat + s0, 1)), at which the prediction and
+    parameter-error bounds are evaluated, and the true support."""
+    if ds.theta0 is None or fr.pred_error_norm is None:
+        raise MissingGroundTruth("bound checks need theta0 and pred_error_norm")
+    s0_support = set(np.flatnonzero(ds.theta0).tolist())
+    s0 = len(s0_support)
+    rep = eig(max(fr.s_hat + s0, 1))
+    if rep.value <= 0:
+        raise NonpositiveEigenvalue(
+            f"minimum sparse eigenvalue phi = {rep.value} at size {rep.s} "
+            f"(s_hat = {fr.s_hat}, s0 = {s0}) is not positive, so the bounds at that "
+            f"size are undefined (n = {ds.n}; phi is 0 at every subset size >= n)")
+    return rep, s0_support
+
+
 def verify_theorem1(
     fr: FitResult, ds: Dataset, t: float, eig: EigSource
 ) -> BoundReport:
@@ -358,18 +376,10 @@ def verify_theorem1(
     every m up to the number of false selections whose threshold premise
     holds at phi_min(m + s0).
     """
-    if ds.theta0 is None or ds.epsilon is None:
-        raise MissingGroundTruth("verify_theorem1 needs theta0 and epsilon")
-    if fr.pred_error_norm is None:
-        raise MissingGroundTruth("fit result carries no prediction-error norm")
-
-    s0_support = set(np.flatnonzero(ds.theta0).tolist())
-    s0 = len(s0_support)
-    s_hat = fr.s_hat
     noise_sup = noise_covariate_sup(ds)
-
-    pred_rep = eig(max(s_hat + s0, 1))
-    c1 = constant_c1(s_hat, s0, pred_rep.value, noise_sup, t)
+    pred_rep, s0_support = _fit_size_eig(fr, ds, eig)
+    s0 = len(s0_support)
+    c1 = constant_c1(fr.s_hat, s0, pred_rep.value, noise_sup, t)
     pred_bound_holds = fr.pred_error_norm <= c1
 
     methods = {pred_rep.method}
@@ -398,18 +408,16 @@ def verify_theorem1(
     )
 
 
-def verify_theorem3(fr: FitResult, eig: SparseEigReport) -> tuple[bool, bool]:
+def verify_theorem3(fr: FitResult, ds: Dataset, eig: EigSource) -> tuple[bool, bool]:
     """Check the chained parameter-error inequalities
-    l1 <= sqrt(s_hat + s0) * l2 <= sqrt(s_hat + s0) * phi^{-1} * pred_norm.
-
-    ``eig`` must be the sparse-eigenvalue report at size s_hat + s0.
+    l1 <= sqrt(s_hat + s0) * l2 <= sqrt(s_hat + s0) * phi^{-1} * pred_norm,
+    with phi = phi_min(max(s_hat + s0, 1)) looked up in ``eig``.
     """
-    if fr.l1_error is None or fr.l2_error is None or fr.pred_error_norm is None:
+    if fr.l1_error is None or fr.l2_error is None:
         raise MissingGroundTruth("fit result carries no parameter errors")
-    if eig.value <= 0:
-        raise NonpositiveEigenvalue(f"phi = {eig.value}")
-    root = math.sqrt(eig.s)
+    rep, _s0_support = _fit_size_eig(fr, ds, eig)
+    root = math.sqrt(rep.s)
     slack = lambda v: v * (1.0 + THEOREM3_RTOL) + 1e-15  # noqa: E731
     l1_ok = fr.l1_error <= slack(root * fr.l2_error)
-    l2_ok = root * fr.l2_error <= slack(root / eig.value * fr.pred_error_norm)
+    l2_ok = root * fr.l2_error <= slack(root / rep.value * fr.pred_error_norm)
     return l2_ok, l1_ok

@@ -303,6 +303,27 @@ def test_zero_sparse_eigenvalue_rejected(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "--config", str(DATA / "golden_verify_config.json"),
+          "--replications", "3", "--threads", "1"], "golden_verify_output.json"),
+        (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3"],
+         "golden_sparse_eig_exact.json"),
+        (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
+          "--mode", "sampled", "--draws", "200", "--seed", "5"],
+         "golden_sparse_eig_sampled.json"),
+    ],
+    ids=["verify", "sparse-eig-exact", "sparse-eig-sampled"],
+)
+def test_report_matches_golden_file(tmp_path, argv, golden):
+    """Pins each report schema: a renamed, dropped or added field changes
+    the bytes."""
+    out = tmp_path / "out.json"
+    assert main([*argv, "-o", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 class TestVerifyCommand:
     def _config(self, tmp_path, **overrides):
         cfg = dict(n=100, p=20, s0=2, design="independent", rho=0.0,
@@ -348,6 +369,19 @@ class TestVerifyCommand:
                      "--phi-size", "8", "-o", str(out)])
         assert code == EXIT_INPUT
         assert BUDGET_HINT in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_eigenvalue_at_fit_size(self, tmp_path, capsys):
+        # s_hat = 4 and s0 = 3 fill the n = 7 sample, so phi_min(7) = 0
+        cfg = self._config(tmp_path, n=7, p=12, s0=3, noise_sd=0.3, seed=18)
+        out = tmp_path / "o.json"
+        code = main(["verify", "--config", cfg, "--replications", "1",
+                     "--safety", "1.0", "--phi-size", "1", "-o", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert ("error: minimum sparse eigenvalue phi = 0.0 at size 7 "
+                "(s_hat = 4, s0 = 3) is not positive") in err
+        assert "(n = 7; phi is 0 at every subset size >= n)" in err
         assert not out.exists()
 
     def test_seed_flag_matches_config_seed(self, tmp_path):
@@ -450,6 +484,18 @@ class TestRates:
                          *flags, "-o", str(out)]) == EXIT_OK
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+    def test_bad_n_grid_names_the_flag(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(n=100, p=10, s0=2, seed=5)))
+        out = tmp_path / "rates.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--config", str(cfg_path), "--n-grid", "50,60,x,80",
+                  "--replications", "2", "-o", str(out)])
+        assert exc.value.code == EXIT_INPUT
+        assert ("argument --n-grid: expected a comma list of integers, "
+                "got '50,60,x,80'") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_short_grid(self):
         cfg = SimConfig(n=50, p=10, s0=2, seed=1)

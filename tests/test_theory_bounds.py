@@ -16,6 +16,7 @@ from fwdreg.errors import (
 )
 from fwdreg.forward_select import forward_regression
 from fwdreg.oracle import sparse_eig_bruteforce, sparse_eig_sampled_plain
+from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
 from fwdreg.theory_bounds import (
     constant_c1,
     constant_c2,
@@ -441,8 +442,7 @@ class TestVerifyTheorem3:
         theta0 = np.array([3.0, 0.0, 0.0, 0.0])
         ds = Dataset(x=x, y=x @ theta0, theta0=theta0, epsilon=np.zeros(30))
         fr = forward_regression(ds, t=0.5)
-        rep = sparse_eig_exact(gram(ds), fr.s_hat + 1)
-        assert verify_theorem3(fr, rep) == (True, True)
+        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds))) == (True, True)
 
     def test_tight_single_coordinate_case(self):
         # orthonormal design, deviation on one coordinate: all three
@@ -455,14 +455,21 @@ class TestVerifyTheorem3:
         fr = forward_regression(ds, t=2.0)
         assert fr.support == ()
         assert fr.l1_error == fr.l2_error == pytest.approx(fr.pred_error_norm)
-        rep = sparse_eig_exact(gram(ds), 1)
-        assert verify_theorem3(fr, rep) == (True, True)
+        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds))) == (True, True)
 
     def test_random_ensemble(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             ds = random_standardized_dataset(rng, 60, 10, s0=2, noise_sd=0.4)
             fr = forward_regression(ds, t=0.05)
-            s0 = int(np.count_nonzero(ds.theta0))
-            rep = sparse_eig_exact(gram(ds), max(fr.s_hat + s0, 1))
-            assert verify_theorem3(fr, rep) == (True, True)
+            assert verify_theorem3(fr, ds, exact_eig_source(gram(ds))) == (True, True)
+
+    def test_zero_eigenvalue_at_fit_size(self):
+        # s_hat = 4 selections plus s0 = 3 true columns fill the n = 7
+        # sample, so every size-7 subset is singular and phi_min(7) = 0
+        ds = simulate_dataset(SimConfig(n=7, p=12, s0=3, noise_sd=0.3, seed=18))
+        eig = exact_eig_source(gram(ds))
+        fr = forward_regression(ds, oracle_threshold(ds, eig(1).value))
+        with pytest.raises(NonpositiveEigenvalue,
+                           match=r"at size 7 \(s_hat = 4, s0 = 3\) .*\(n = 7;"):
+            verify_theorem3(fr, ds, eig)
