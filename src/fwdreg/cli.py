@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import re
 import sys
@@ -27,7 +28,6 @@ import numpy as np
 from . import oracle, theory_bounds
 from .core_linalg import (
     Dataset,
-    column_moments,
     gram,
     least_squares_on_support,
     standardize,
@@ -58,56 +58,82 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     """Read a data CSV: (covariate names, raw design, response or None).
 
     The response column must be named "y"; if absent, every column is a
-    covariate (useful for sparse-eig). Cells may be double-quoted, blank
-    (or whitespace-only) lines are skipped and "#" is an ordinary
-    character, not a comment. Raises ValueError for an empty file, a file
-    without data rows, an empty or duplicate column name, a non-numeric or
-    non-finite cell, or a row whose width differs from the header or from
-    the rows before it. Row errors name the file line, the header being
-    line 1.
+    covariate (useful for sparse-eig). A UTF-8 byte-order mark is dropped.
+    Cells may be double-quoted, blank (or whitespace-only) lines are
+    skipped and "#" is an ordinary character, not a comment. Raises
+    ValueError for an empty file, a file without data rows, an empty or
+    duplicate column name, a non-numeric or non-finite cell, or a row whose
+    width differs from the header or from the rows before it. Row errors
+    name the file line, the header being line 1.
+
+    Rows stream into the parser, so the text is never held whole, and the
+    returned arrays share no memory with the parsed table, which is freed
+    on return.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    blanks: list[int] = []  # file lines of the skipped blank lines
+
+    def file_line(row: int) -> int:
+        """File line of 0-based data row ``row``."""
+        line = row + 2
+        for blank in blanks:
+            if blank > line:
+                break
+            line += 1
+        return line
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [(num, line) for num, line in enumerate(fh, 2) if not line.isspace()]
-    # checked before parsing, so numpy never warns about empty input
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    line_nums, lines = zip(*rows)
-    header = [h.strip() for h in header]
-    if "" in header:
-        raise ValueError(f"{path}: empty column name in column {header.index('') + 1}")
-    dupes = [h for h, count in Counter(header).items() if count > 1]
-    if dupes:
-        raise ValueError(f"{path}: duplicate column name {dupes[0]!r}")
-    try:
-        data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except ValueError as exc:
-        # loadtxt numbers the rows it was given: 0-based in "at row R,
-        # column C" (a bad cell), 1-based in "at row R;" (a ragged row)
-        def file_line(m: re.Match) -> str:
-            row = int(m[1]) - (m[2] is None)
-            return f"on line {line_nums[row]}{m[2] or ''}"
 
-        message = re.sub(r"at row (\d+)(, column)?", file_line, str(exc))
-        # drop loadtxt's advice to pass `usecols`, which the CLI has no option for
-        message = re.sub(r"; use `usecols`.*", "", message)
-        raise ValueError(f"{path}: {message}") from None
+        def data_lines():
+            for num, line in enumerate(fh, 2):
+                if line.isspace():
+                    blanks.append(num)
+                else:
+                    yield line
+
+        lines = data_lines()
+        # checked before parsing, so numpy never warns about empty input
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        header = [h.strip() for h in header]
+        if "" in header:
+            raise ValueError(f"{path}: empty column name in column {header.index('') + 1}")
+        dupes = [h for h, count in Counter(header).items() if count > 1]
+        if dupes:
+            raise ValueError(f"{path}: duplicate column name {dupes[0]!r}")
+        try:
+            data = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                              quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            # loadtxt numbers the rows it was given: 0-based in "at row R,
+            # column C" (a bad cell), 1-based in "at row R;" (a ragged row)
+            def at_line(m: re.Match) -> str:
+                return f"on line {file_line(int(m[1]) - (m[2] is None))}{m[2] or ''}"
+
+            message = re.sub(r"at row (\d+)(, column)?", at_line, str(exc))
+            # drop loadtxt's advice to pass `usecols`, which the CLI has no option for
+            message = re.sub(r"; use `usecols`.*", "", message)
+            raise ValueError(f"{path}: {message}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: row width does not match header")
     # reject NaN and inf here, before any arithmetic can spread them
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise ValueError(f"{path}: non-finite value in column {header[col]!r} "
-                         f"on line {line_nums[row]}")
+                         f"on line {file_line(row)}")
+    del finite  # free the table-sized mask before the design is copied out
     if "y" in header:
         yi = header.index("y")
-        names = [h for i, h in enumerate(header) if i != yi]
         cols = [i for i in range(len(header)) if i != yi]
-        return names, data[:, cols], data[:, yi]
+        # data[:, cols] is an F-ordered copy, the layout whose column
+        # reductions the reports' last digits depend on; y is copied too,
+        # so neither keeps the table alive
+        return [header[i] for i in cols], data[:, cols], data[:, yi].copy()
     return header, data, None
 
 
@@ -122,13 +148,12 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
 def read_dataset(path: str) -> tuple[list[str], Dataset, np.ndarray, np.ndarray, float]:
     """Read a CSV into a Dataset of standardized covariates and centred "y":
     (names, dataset, column means, column scales, mean of y)."""
-    names, raw, y = read_csv(path)
+    names, x, y = read_csv(path)
     if y is None:
         raise ValueError(f"{path}: no response column named 'y'")
-    mean, scale = column_moments(raw)
+    mean, scale = standardize(x)
     y_mean = float(y.mean())
-    ds = Dataset(x=(raw - mean) / scale, y=y - y_mean)
-    return names, ds, mean, scale, y_mean
+    return names, Dataset(x=x, y=y - y_mean), mean, scale, y_mean
 
 
 def _fan_out(worker: Callable, jobs: Sequence, threads: int) -> list:
@@ -373,10 +398,9 @@ def cmd_rates(args: argparse.Namespace) -> int:
 def cmd_sparse_eig(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
-    names, raw, _y = read_csv(args.input)
-    x = standardize(raw)
-    ds = Dataset(x=x, y=np.zeros(x.shape[0]))
-    g = gram(ds)
+    names, x, _y = read_csv(args.input)
+    standardize(x)
+    g = gram(Dataset(x=x, y=np.zeros(x.shape[0])))
     if args.mode == "exact":
         rep = theory_bounds.sparse_eig_exact(g, args.s)
     else:

@@ -81,27 +81,37 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if raw.shape[0] < 2:
         raise ValueError("standardization needs at least two observations")
     mean = raw.mean(axis=0)
-    scale = np.sqrt(((raw - mean) ** 2).mean(axis=0))
+    dev = raw - mean
+    np.square(dev, out=dev)
+    scale = np.sqrt(dev.mean(axis=0))
     bad = np.flatnonzero(scale <= 1e-13 * (np.abs(mean) + 1.0))
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
     return mean, scale
 
 
-def standardize(raw: np.ndarray) -> np.ndarray:
-    """Center each column and scale it to unit (1/n) second moment.
+def standardize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center each column of ``raw`` and scale it to unit (1/n) second
+    moment, in place; return the column (mean, scale) it removed.
 
-    Raises as ``column_moments`` does.
+    The result is bit-equal to ``(raw - mean) / scale``. ``raw`` must be a
+    float64 array; it is left untouched when this raises, which it does as
+    ``column_moments`` does.
     """
+    if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
+        raise TypeError("standardize works in place on a float64 array")
     mean, scale = column_moments(raw)
-    return (raw - mean) / scale
+    raw -= mean
+    raw /= scale
+    return mean, scale
 
 
 def is_standardized(x: np.ndarray) -> bool:
     """True when every column is centered and has unit second moment."""
+    second = np.einsum("ij,ij->j", x, x) / x.shape[0]
     return bool(
         np.max(np.abs(x.mean(axis=0))) <= STANDARDIZED_TOL
-        and np.max(np.abs((x * x).mean(axis=0) - 1.0)) <= STANDARDIZED_TOL
+        and np.max(np.abs(second - 1.0)) <= STANDARDIZED_TOL
     )
 
 

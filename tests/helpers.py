@@ -17,7 +17,8 @@ def orthonormal_design(rng, n, p):
 
 def random_standardized_dataset(rng, n, p, s0=None, noise_sd=0.5):
     """Standardized Gaussian design with a random sparse signal."""
-    x = standardize(rng.standard_normal((n, p)))
+    x = rng.standard_normal((n, p))
+    standardize(x)
     if s0 is None:
         s0 = min(3, p)
     theta0 = np.zeros(p)

@@ -111,7 +111,8 @@ def test_criterion_6_sparse_eigenvalues():
     for _ in range(50):
         p = int(rng.integers(4, 13))
         n = int(rng.integers(p + 5, 40))
-        x = standardize(rng.standard_normal((n, p)))
+        x = rng.standard_normal((n, p))
+        standardize(x)
         g = gram(Dataset(x=x, y=np.zeros(n)))
         s = int(rng.integers(1, 5))
         fast = sparse_eig_exact(g, s)

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import os
@@ -223,6 +224,71 @@ def test_quoted_cells_and_blank_lines_accepted(tmp_path):
         assert names == header[:3]
         assert np.column_stack([raw, y]).tobytes() == reference.tobytes()
     assert fit_csv(str(quoted), t=0.05) == fit_csv(str(plain), t=0.05)
+
+
+@pytest.mark.parametrize("header", [["y", "x1", "x2"], ["x1", "y", "x2"]],
+                         ids=["y_first", "y_inside"])
+def test_utf8_byte_order_mark_dropped(tmp_path, header):
+    """A CSV saved as Excel's "CSV UTF-8" starts with a byte-order mark; it
+    must neither hide a leading "y" nor end up in the first column name."""
+    rng = np.random.default_rng(8)
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_rows(plain, header, rng.standard_normal((12, 3)).tolist())
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    names, _raw, y = read_csv(str(bom))
+    assert names == [h for h in header if h != "y"]
+    assert y is not None
+    reports = []
+    for path in (plain, bom):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["fit", "-i", str(path), "-t", "0.01", "-o", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def _child_env():
+    """Environment for a fresh interpreter that imports this fwdreg."""
+    src = str(pathlib.Path(fwdreg.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_DEV_MODE_SCRIPT = """
+import sys
+import fwdreg.cli
+sys.exit(fwdreg.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["fit", "-t", "0.1"], EXIT_OK, ""),
+        (["sparse-eig", "--s", "2"], EXIT_OK, ""),
+        (["fit", "-t", "0.1"], EXIT_INPUT,
+         "could not convert string 'abc' to float64 on line 5, column 2"),
+    ],
+    ids=["fit", "sparse_eig", "fit_bad_cell"],
+)
+def test_dev_mode_run_is_clean(tmp_path, argv, code, stderr):
+    """The CSV rows stream from an open file into the parser. Under
+    ``python -X dev -W error`` a file left open, or any other warning,
+    shows up on stderr, so stderr holds the error line or nothing. The bad
+    cell stops the parser part way through the file."""
+    rows = "1,2\n3,1\n\n" + ("3,abc\n" if code else "") + "4,6\n0,1\n"
+    path = tmp_path / "d.csv"
+    path.write_text("x1,y\n" + rows)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _DEV_MODE_SCRIPT,
+         *argv, "-i", str(path), "-o", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == code, proc.stderr
+    if stderr:
+        assert proc.stderr.startswith("error: ") and stderr in proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+    else:
+        assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -613,12 +679,9 @@ def test_commands_never_import_scipy(tmp_path):
         ["compare", "-i", str(DATA / "adversarial_compare.csv"), "-t", "0.05",
          "-o", str(tmp_path / "compare.json")],
     ]
-    src = str(pathlib.Path(fwdreg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_child_env(), check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [EXIT_OK] * 4, "scipy": []}

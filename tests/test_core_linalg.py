@@ -4,6 +4,7 @@ import pytest
 from fwdreg.core_linalg import (
     Dataset,
     _residualize,
+    column_moments,
     en_dot,
     gram,
     initial_state,
@@ -21,26 +22,55 @@ from helpers import orthonormal_design, random_standardized_dataset
 
 class TestStandardize:
     def test_two_point_symmetry(self):
-        out = standardize(np.array([[1.0], [3.0]]))
-        np.testing.assert_allclose(out[:, 0], [-1.0, 1.0], atol=1e-12)
+        x = np.array([[1.0], [3.0]])
+        mean, scale = standardize(x)
+        np.testing.assert_allclose(x[:, 0], [-1.0, 1.0], atol=1e-12)
+        assert (mean[0], scale[0]) == (2.0, 1.0)
 
     def test_idempotence(self):
         rng = np.random.default_rng(0)
-        once = standardize(rng.standard_normal((30, 5)) * 4 + 2)
-        twice = standardize(once)
+        once = rng.standard_normal((30, 5)) * 4 + 2
+        standardize(once)
+        twice = once.copy()
+        standardize(twice)
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_zero_variance_column(self):
         raw = np.column_stack([np.full(3, 5.0), np.arange(3.0)])
+        before = raw.copy()
         with pytest.raises(ZeroVarianceColumn) as exc:
             standardize(raw)
         assert exc.value.column == 0
+        assert raw.tobytes() == before.tobytes()
 
     def test_postconditions(self):
         rng = np.random.default_rng(1)
-        x = standardize(rng.standard_normal((50, 8)) * 3 - 1)
+        x = rng.standard_normal((50, 8)) * 3 - 1
+        standardize(x)
         assert np.max(np.abs(x.mean(axis=0))) < 1e-12
         assert np.max(np.abs((x * x).mean(axis=0) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_matches_out_of_place(self, order):
+        """A CSV design split off around "y" is F-ordered, a table without
+        "y" C-ordered; on both, the in-place result is bit-equal to
+        (raw - mean) / scale."""
+        rng = np.random.default_rng(2)
+        raw = np.asarray(rng.standard_normal((37, 6)) * 5 + 3, order=order)
+        x = raw.copy(order="K")
+        mean, scale = standardize(x)
+        ref_mean, ref_scale = column_moments(raw)
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert scale.tobytes() == ref_scale.tobytes()
+        assert x.flags[f"{order}_CONTIGUOUS"]
+        assert x.tobytes(order="A") == ((raw - mean) / scale).tobytes(order="A")
+
+    @pytest.mark.parametrize(
+        "raw", [[[1.0, 2.0], [3.0, 5.0]], np.array([[1, 2], [3, 5]])], ids=["list", "int"]
+    )
+    def test_rejects_what_it_cannot_update(self, raw):
+        with pytest.raises(TypeError, match="in place on a float64 array"):
+            standardize(raw)
 
 
 class TestGram:
@@ -57,14 +87,16 @@ class TestGram:
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(3)
-        x = standardize(rng.standard_normal((10, 4)))
+        x = rng.standard_normal((10, 4))
+        standardize(x)
         ds = Dataset(x=x, y=np.zeros(10))
         ref = sum(np.outer(x[i], x[i]) for i in range(10)) / 10
         np.testing.assert_allclose(gram(ds), ref, atol=1e-12)
 
     def test_unit_diagonal_on_standardized(self):
         rng = np.random.default_rng(4)
-        x = standardize(rng.standard_normal((40, 7)))
+        x = rng.standard_normal((40, 7))
+        standardize(x)
         ds = Dataset(x=x, y=np.zeros(40))
         np.testing.assert_allclose(np.diag(gram(ds)), np.ones(7), atol=1e-10)
 

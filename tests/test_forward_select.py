@@ -217,10 +217,10 @@ def test_near_collinear_gains_match_refits(seed):
     the loss drop of two refits."""
     rng = np.random.default_rng(seed)
     n = 100
-    raw = rng.standard_normal((n, 6))
+    x = rng.standard_normal((n, 6))
     z = rng.standard_normal(n)
-    raw[:, 2] = raw[:, 0] + raw[:, 1] + 3e-5 * z
-    x = standardize(raw)
+    x[:, 2] = x[:, 0] + x[:, 1] + 3e-5 * z
+    standardize(x)
     ds = Dataset(x=x, y=300.0 * (x[:, 0] + x[:, 1]) + z - z.mean())
     fr = forward_regression(ds, t=1e-6)
     assert {0, 1, 2} <= set(fr.support)

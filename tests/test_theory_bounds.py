@@ -31,7 +31,8 @@ from helpers import orthonormal_design, random_standardized_dataset
 
 
 def random_gram(rng, n, p):
-    x = standardize(rng.standard_normal((n, p)))
+    x = rng.standard_normal((n, p))
+    standardize(x)
     return gram(Dataset(x=x, y=np.zeros(n)))
 
 
@@ -51,7 +52,8 @@ def screen_gram(kind):
         raw[:, 6] = raw[:, 2] + 1e-7 * rng.standard_normal(n)
     elif kind == "toeplitz":
         raw = raw @ np.linalg.cholesky(scipy.linalg.toeplitz(0.9 ** np.arange(p))).T
-    return gram(Dataset(x=standardize(raw), y=np.zeros(n)))
+    standardize(raw)
+    return gram(Dataset(x=raw, y=np.zeros(n)))
 
 
 SCREEN_KINDS = ["duplicated", "near_collinear", "toeplitz", "equicorrelated", "p_gt_n"]
