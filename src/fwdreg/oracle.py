@@ -16,6 +16,7 @@ import numpy as np
 
 from .core_linalg import Dataset, en_dot
 from .errors import BudgetExceeded, RankDeficientSupport
+from .simulate import SimConfig, _design_cholesky, _theta_values
 from .theory_bounds import SparseEigReport
 
 _RANK_TOL = 1e-10
@@ -188,3 +189,27 @@ def sparse_eig_sampled_plain(
         witness=min(tuple(int(j) for j in row) for row in idx[vals == low]),
         subsets_examined=idx.shape[0],
     )
+
+
+def leading_rows_plain(cfg: SimConfig, n: int) -> Dataset:
+    """simulate.leading_rows(simulate_dataset(cfg), n) without the detour
+    through the full standardized design: redraw cfg.n raw rows on the same
+    RNG stream, then standardize the first n of them on their own in
+    extended precision."""
+    rng = np.random.default_rng(cfg.seed)
+    raw = rng.standard_normal((cfg.n, cfg.p))
+    chol = _design_cholesky(cfg)
+    if chol is not None:
+        raw = raw @ chol.T
+    epsilon = cfg.noise_sd * rng.standard_normal(cfg.n)[:n]
+    support = np.sort(rng.choice(cfg.p, size=cfg.s0, replace=False))
+
+    head = raw[:n].astype(np.longdouble)
+    dev = head - head.mean(axis=0)
+    scale = np.sqrt((dev * dev).mean(axis=0))
+    x = dev / scale
+    theta0 = np.zeros(cfg.p, dtype=np.longdouble)
+    theta0[support] = _theta_values(cfg) * scale[support]
+    y = x @ theta0 + epsilon
+    return Dataset(x=x.astype(float), y=y.astype(float),
+                   theta0=theta0.astype(float), epsilon=epsilon)

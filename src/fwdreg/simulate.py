@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import Dataset, column_moments
-from .errors import NonpositiveEigenvalue
+from .core_linalg import Dataset, column_moments, standardize
+from .errors import MissingGroundTruth, NonpositiveEigenvalue
 from .theory_bounds import noise_covariate_sup
 
 DESIGNS = ("independent", "equicorrelated", "toeplitz")
@@ -106,6 +106,29 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
 
     theta0 = np.zeros(cfg.p)
     theta0[support] = _theta_values(cfg) * scale[support]
+    y = x @ theta0 + epsilon
+    return Dataset(x=x, y=y, theta0=theta0, epsilon=epsilon)
+
+
+def leading_rows(ds: Dataset, n: int) -> Dataset:
+    """The first ``n`` observations of a simulated dataset, standardized on
+    their own; ``leading_rows(ds, ds.n)`` is ``ds`` itself.
+
+    The copied rows of the standardized design are standardized again in
+    place. Their scale re-expresses theta0, so the model is the one a plain
+    simulation of the first n raw rows would store (to rounding), and
+    y = X theta0 + epsilon holds exactly as stored.
+    """
+    if ds.theta0 is None:
+        raise MissingGroundTruth("leading rows need theta0 and epsilon")
+    if not 2 <= n <= ds.n:
+        raise ValueError(f"need 2 <= n <= {ds.n} leading rows, got {n}")
+    if n == ds.n:
+        return ds
+    x = ds.x[:n].copy()
+    _mean, scale = standardize(x)
+    theta0 = ds.theta0 * scale
+    epsilon = ds.epsilon[:n].copy()
     y = x @ theta0 + epsilon
     return Dataset(x=x, y=y, theta0=theta0, epsilon=epsilon)
 

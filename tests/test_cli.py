@@ -5,12 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fwdreg
-from fwdreg import oracle
+from fwdreg import cli, oracle, theory_bounds
 from fwdreg.cli import (
     EXIT_BOUND_FAILURE,
     EXIT_DEGENERATE,
@@ -22,7 +23,9 @@ from fwdreg.cli import (
     read_csv,
     run_rates,
 )
-from fwdreg.simulate import SimConfig
+from fwdreg.core_linalg import gram
+from fwdreg.forward_select import forward_regression
+from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -390,6 +393,16 @@ def test_report_matches_golden_file(tmp_path, argv, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_rates_matches_golden_files(tmp_path, capsys):
+    """Pins the rates CSV and its stdout line, header and fields included."""
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--config", str(DATA / "golden_verify_config.json"),
+                 "--n-grid", "100,200,400,800", "--replications", "20",
+                 "--draws", "100", "-o", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "golden_rates_output.csv").read_bytes()
+    assert capsys.readouterr().out == (DATA / "golden_rates_stdout.json").read_text()
+
+
 class TestVerifyCommand:
     def _config(self, tmp_path, **overrides):
         cfg = dict(n=100, p=20, s0=2, design="independent", rho=0.0,
@@ -567,6 +580,56 @@ class TestRates:
         cfg = SimConfig(n=50, p=10, s0=2, seed=1)
         with pytest.raises(ValueError):
             run_rates(cfg, [100, 200], replications=2)
+
+    def test_rejects_grid_below_two_rows(self):
+        cfg = SimConfig(n=50, p=10, s0=2, seed=1)
+        with pytest.raises(ValueError, match="n_grid entries must be >= 2, got 1"):
+            run_rates(cfg, [1, 20, 30, 40], replications=2)
+
+    def test_largest_grid_point_fits_a_plain_simulation(self):
+        """The last row is the one simulating each replication alone at the
+        largest n gives, with that grid point's seed for data and phi."""
+        cfg = SimConfig(n=100, p=30, s0=3, design="toeplitz", rho=0.4,
+                        theta_pattern="decaying", noise_sd=1.0, seed=17)
+        grid, reps, draws = [60, 90, 150, 240], 5, 40
+        summary = run_rates(cfg, grid, replications=reps, draws=draws, threads=2)
+        errors, sizes = [], []
+        for rep in range(reps):
+            seed = cfg.seed + 1_000_003 * (len(grid) - 1) + rep
+            ds = simulate_dataset(replace(cfg, n=grid[-1], seed=seed))
+            phi = theory_bounds.sparse_eig_sampled(
+                gram(ds), 2 * cfg.s0, draws=draws, seed=seed).value
+            fr = forward_regression(ds, oracle_threshold(ds, phi, safety=1.1))
+            errors.append(fr.pred_error_norm)
+            sizes.append(fr.s_hat)
+        assert summary["rows"][-1] == {
+            "n": grid[-1],
+            "median_pred_error_norm": float(np.median(errors)),
+            "median_s_hat": float(np.median(sizes)),
+        }
+
+    def test_one_draw_per_replication(self, monkeypatch):
+        """Each replication simulates once, at the largest n, and each
+        (grid point, replication) pair computes its own sampled phi."""
+        simulated, sampled = [], []
+
+        def simulate(cfg):
+            simulated.append((cfg.n, cfg.seed))
+            return simulate_dataset(cfg)
+
+        def sample(g, s, draws, seed):
+            sampled.append(seed)
+            return real_sample(g, s, draws=draws, seed=seed)
+
+        real_sample = theory_bounds.sparse_eig_sampled
+        monkeypatch.setattr(cli, "simulate_dataset", simulate)
+        monkeypatch.setattr(theory_bounds, "sparse_eig_sampled", sample)
+        cfg = SimConfig(n=50, p=10, s0=2, noise_sd=1.0, seed=5)
+        run_rates(cfg, [50, 100, 200, 400], replications=3, draws=20, threads=2)
+        last = 5 + 1_000_003 * 3
+        assert sorted(simulated) == [(400, last + rep) for rep in range(3)]
+        assert sorted(sampled) == sorted(
+            5 + 1_000_003 * gi + rep for gi in range(4) for rep in range(3))
 
 
 class TestSparseEigCommand:

@@ -7,11 +7,13 @@ import pytest
 import scipy.linalg
 
 from fwdreg import simulate
-from fwdreg.core_linalg import Dataset, gram
+from fwdreg.core_linalg import Dataset, gram, is_standardized
 from fwdreg.errors import MissingGroundTruth
+from fwdreg.oracle import leading_rows_plain
 from fwdreg.simulate import (
     THRESHOLD_FLOOR,
     SimConfig,
+    leading_rows,
     oracle_threshold,
     simulate_dataset,
 )
@@ -118,6 +120,59 @@ def test_toeplitz_build_bit_identical_to_scipy(monkeypatch, p, rho):
     ref_ds = simulate_dataset(cfg)
     for name in ("x", "y", "theta0", "epsilon"):
         assert np.array_equal(getattr(ds, name), getattr(ref_ds, name))
+
+
+class TestLeadingRows:
+    CONFIGS = [
+        SimConfig(n=400, p=30, s0=4, theta_pattern="decaying", seed=11),
+        SimConfig(n=400, p=30, s0=4, design="toeplitz", rho=0.5,
+                  theta_pattern="signed_alternating", c=2.0, seed=12),
+        SimConfig(n=300, p=50, s0=3, design="equicorrelated", rho=0.3,
+                  noise_sd=0.0, seed=13),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=[c.design for c in CONFIGS])
+    @pytest.mark.parametrize("n", [3, 60, 200, 299])
+    def test_agrees_with_plain_twin(self, cfg, n):
+        got = leading_rows(simulate_dataset(cfg), n)
+        want = leading_rows_plain(cfg, n)
+        for name in ("x", "y", "theta0", "epsilon"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=[c.design for c in CONFIGS])
+    def test_postconditions(self, cfg):
+        ds = simulate_dataset(cfg)
+        for n in (2, 37, 150, cfg.n - 1):
+            head = leading_rows(ds, n)
+            assert head.x.shape == (n, cfg.p)
+            assert is_standardized(head.x)
+            assert np.array_equal(head.y, head.x @ head.theta0 + head.epsilon)
+            assert np.array_equal(head.epsilon, ds.epsilon[:n])
+            assert np.array_equal(np.flatnonzero(head.theta0),
+                                  np.flatnonzero(ds.theta0))
+
+    def test_all_rows_is_the_dataset(self):
+        ds = simulate_dataset(self.CONFIGS[0])
+        assert leading_rows(ds, ds.n) is ds
+
+    def test_leaves_the_dataset_untouched(self):
+        ds = simulate_dataset(self.CONFIGS[1])
+        before = {name: getattr(ds, name).copy() for name in ("x", "y", "theta0", "epsilon")}
+        leading_rows(ds, 100)
+        for name, value in before.items():
+            assert np.array_equal(getattr(ds, name), value)
+
+    @pytest.mark.parametrize("n", [1, 0, -5, 401])
+    def test_rejects_row_count_out_of_range(self, n):
+        ds = simulate_dataset(self.CONFIGS[0])
+        with pytest.raises(ValueError, match=f"need 2 <= n <= 400 leading rows, got {n}"):
+            leading_rows(ds, n)
+
+    def test_requires_ground_truth(self):
+        ds = simulate_dataset(self.CONFIGS[0])
+        with pytest.raises(MissingGroundTruth):
+            leading_rows(Dataset(x=ds.x, y=ds.y), 100)
 
 
 class TestOracleThreshold:
