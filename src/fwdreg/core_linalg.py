@@ -153,15 +153,18 @@ class OrthoState:
 
     ``basis`` holds the selected columns orthonormalized under the (1/n)
     inner product; ``residual`` is y minus its projection onto their span,
-    and ``residual_loss`` equals l(support). ``col_norm2[j]`` is the (1/n)
-    norm^2 of column j residualized against the basis, carried by rank-one
-    downdates (orthogonal least squares, Blumensath & Davies 2007).
+    and ``residual_loss`` equals l(support). ``corr`` is X'r/n for that
+    residual r, and ``col_norm2[j]`` the (1/n) norm^2 of column j
+    residualized against the basis. Both are carried by rank-one updates
+    from the one product q'X/n of each extension (the covariance form of
+    orthogonal least squares, Blumensath & Davies 2007).
     """
 
     support: tuple[int, ...]
     basis: np.ndarray
     residual: np.ndarray
     residual_loss: float
+    corr: np.ndarray
     col_norm2: np.ndarray
 
 
@@ -172,6 +175,7 @@ def initial_state(ds: Dataset) -> OrthoState:
         basis=np.empty((ds.n, 0)),
         residual=ds.y.copy(),
         residual_loss=en_dot(ds.y, ds.y),
+        corr=ds.x.T @ ds.y / ds.n,
         col_norm2=np.einsum("ij,ij->j", ds.x, ds.x) / ds.n,
     )
 
@@ -191,6 +195,10 @@ def _residualize(basis: np.ndarray, col: np.ndarray) -> np.ndarray:
 def ortho_extend(state: OrthoState, j: int, ds: Dataset) -> OrthoState:
     """Extend the state by column ``j``; the prior state stays valid.
 
+    One pass over X, the product q'X/n with the new basis vector q,
+    updates both carried vectors: r' = r - (q'r/n) q gives
+    corr' = corr - (q'r/n) q'X/n, and col_norm2' = col_norm2 - (q'X/n)^2.
+
     Raises CollinearCandidate when column j lies in the span of the
     current support (residualized (1/n)-norm^2 <= COLLINEAR_TOL).
     """
@@ -206,10 +214,12 @@ def ortho_extend(state: OrthoState, j: int, ds: Dataset) -> OrthoState:
     q = c / math.sqrt(norm2)
     proj = en_dot(q, state.residual)
     residual = state.residual - proj * q
+    qx = q @ ds.x / ds.n
     return OrthoState(
         support=state.support + (j,),
         basis=np.column_stack([state.basis, q]),
         residual=residual,
         residual_loss=en_dot(residual, residual),
-        col_norm2=state.col_norm2 - (q @ ds.x / ds.n) ** 2,
+        corr=state.corr - proj * qx,
+        col_norm2=state.col_norm2 - qx**2,
     )

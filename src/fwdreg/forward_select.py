@@ -64,11 +64,12 @@ def score_all(state: OrthoState, ds: Dataset) -> np.ndarray:
 
     Entry j is (E_n[x~_ij r_i])^2 / E_n[x~_ij^2] where x~_j is column j
     residualized against the current basis and r the current residual.
-    Since r is orthogonal to the basis, x~_j'r = x_j'r, and the
-    denominators are the carried ``state.col_norm2``, so a call costs
-    O(np). Already-selected and collinear columns get a -inf sentinel.
+    Since r is orthogonal to the basis, x~_j'r = x_j'r, so the numerators
+    are the carried ``state.corr`` and the denominators the carried
+    ``state.col_norm2``: a call costs O(p), and X is not read. Already-
+    selected and collinear columns get a -inf sentinel.
     """
-    num = ds.x.T @ state.residual / ds.n
+    num = state.corr
     denom = state.col_norm2
     scores = np.full(ds.p, -np.inf)
     usable = denom > COLLINEAR_TOL

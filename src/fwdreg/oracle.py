@@ -153,11 +153,12 @@ def sparse_eig_bruteforce(g: np.ndarray, s: int) -> SparseEigReport:
 def sparse_eig_sampled_plain(
     g: np.ndarray, s: int, draws: int, seed: int
 ) -> SparseEigReport:
-    """sparse_eig_sampled without its vectorized partner search and its
-    screen: a per-column loop builds the partner groups, and every group
-    and every draw gets eigvalsh. Same RNG stream; the witness is the
-    lexicographically smallest subset in [groups; draws] that attains the
-    minimum."""
+    """sparse_eig_sampled without its partition-based top-k and its
+    screen: a stable argsort of each row picks the partner groups (one
+    loop per column) and the draws, so ties go to the lower index, and
+    every group and every draw gets eigvalsh. Same RNG stream, drawn in
+    one call; the witness is the lexicographically smallest subset in
+    [groups; draws] that attains the minimum."""
     p = g.shape[0]
     if s < 1:
         raise ValueError("subset size bound s must be >= 1")
@@ -171,13 +172,13 @@ def sparse_eig_sampled_plain(
     else:
         offdiag = np.abs(g - np.diag(np.diag(g)))
         for j in range(p):
-            order = np.argsort(-offdiag[j])
+            order = np.argsort(-offdiag[j], kind="stable")
             partners = [int(k) for k in order if k != j][: size - 1]
             suspicious.append(tuple(sorted([j] + partners)))
 
     rng = np.random.default_rng(seed)
     keys = rng.random((draws, p))
-    drawn = np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1)
+    drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :size], axis=1)
 
     idx = np.vstack([np.array(suspicious, dtype=np.intp), drawn.astype(np.intp)])
     vals = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])[:, 0]

@@ -37,6 +37,14 @@ THEOREM3_RTOL = 1e-9
 
 _CHUNK = 20_000
 
+# Random subsets are drawn this many at a time, so a sampled call holds
+# O(_DRAW_ROWS * p) keys whatever its number of draws.
+_DRAW_ROWS = 4_096
+
+# Partner groups solved by eigvalsh for the first incumbent; the other
+# groups are screened against it.
+_SEED_GROUPS = 8
+
 # The one empty prefix of a _search block whose tails are whole subsets.
 _NO_PREFIX = np.zeros((1, 0), dtype=np.intp)
 
@@ -116,18 +124,51 @@ def _screen_level(best: float, size: int, gmax: float) -> float:
     return best + 1e-9 * abs(best) + max(1e-12, 1e-14 * size * size) * gmax
 
 
+def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``keys``,
+    ascending within the row; ties go to the lower index. One
+    np.partition finds each row's k-th smallest value v, and a mask keeps
+    the entries <= v in place, so flatnonzero returns every row sorted.
+    Every row keeps at least k entries; a row with more (a tie at v) keeps
+    only the first of those equal to v."""
+    rows, p = keys.shape
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1, None]
+    keep = keys <= kth
+    if np.count_nonzero(keep) > rows * k:
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        below = keys[over] < kth[over]
+        tied = keep[over] & ~below
+        room = k - np.count_nonzero(below, axis=1)
+        keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return (np.flatnonzero(keep) % p).reshape(rows, k)
+
+
 def _partner_groups(g: np.ndarray, size: int) -> np.ndarray:
     """For every column j, j and its size - 1 most-correlated partners
-    (largest |g_jk|, ties as argsort orders them), sorted; one row per
-    column. The only group is range(p) when size = p."""
+    (largest |g_jk|, ties to the lower index), sorted; one row per column.
+    The diagonal key is -inf, so each row's smallest keys hold j itself.
+    The only group is range(p) when size = p."""
     p = g.shape[0]
     if size == p:
         return np.arange(p, dtype=np.intp)[None, :]
-    offdiag = np.abs(g - np.diag(np.diag(g)))
-    order = np.argsort(-offdiag, axis=1)
-    cols = np.arange(p, dtype=np.intp)[:, None]
-    partners = order[order != cols].reshape(p, p - 1)[:, : size - 1]
-    return np.sort(np.hstack([cols, partners]), axis=1)
+    keys = -np.abs(g)
+    np.fill_diagonal(keys, -np.inf)
+    return _smallest(keys, size)
+
+
+def _seed_split(g: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(seed, rest): the _SEED_GROUPS rows of ``groups`` with the largest
+    sum of |G_S| over the group's submatrix (ties to the lower row), and
+    the other rows. Strongly correlated groups tend to have a small
+    lambda_min, so solving the seed alone gives an incumbent that screens
+    most of the rest; the choice changes only the work, not the result."""
+    if groups.shape[0] <= _SEED_GROUPS:
+        return groups, groups[:0]
+    weight = np.abs(g)[groups[:, :, None], groups[:, None, :]].sum(axis=(1, 2))
+    pick = _smallest(-weight[None, :], _SEED_GROUPS)[0]
+    rest = np.ones(groups.shape[0], dtype=bool)
+    rest[pick] = False
+    return groups[pick], groups[rest]
 
 
 def _colex_table(n: int, m: int) -> np.ndarray:
@@ -221,7 +262,8 @@ def sparse_eig_exact(
     """Exact minimum s-sparse eigenvalue by screened enumeration.
 
     Only subsets of size k = min(s, p) are candidates (see _subset_size).
-    The partner groups of sparse_eig_sampled give the first incumbent.
+    The seed partner groups of sparse_eig_sampled (see _seed_split) give
+    the first incumbent; the enumeration visits every other group anyway.
     For k < p the subsets are split into a prefix of their first
     q = max(k - 3, 0) indices and a tail of the rest, at most three. Each
     block of _search holds every prefix ending at r0 - 1 with every tail
@@ -242,7 +284,7 @@ def sparse_eig_exact(
             f"(sparse-eig --mode sampled) gives an upper bound without a budget"
         )
 
-    best = _lowest(g, _partner_groups(g, size))
+    best = _lowest(g, _seed_split(g, _partner_groups(g, size))[0])
     if size < p:  # at size = p the one subset is range(p), the one group
         q = max(size - 3, 0)
         m = size - q
@@ -271,12 +313,19 @@ def sparse_eig_sampled(
     column, the group of its most-correlated partners.
 
     The value is an upper bound on the exact phi_min(s) (a minimum over a
-    subfamily can only be larger), and is reported as such. The partner
-    groups are solved first and give the incumbent; the draws are one
-    block for _search, so only the draws its screen cannot clear reach
-    eigvalsh. Value and witness (the lexicographically smallest on exact
-    ties) are those of solving every group and every draw, and
-    ``subsets_examined`` counts that whole sampled family.
+    subfamily can only be larger), and is reported as such. The
+    _SEED_GROUPS groups of largest sum |G_S| are solved first and give the
+    incumbent (see _seed_split). The other groups are one block for
+    _search, and the draws follow in blocks of their own, _DRAW_ROWS
+    subsets each: a subset is the k smallest of p uniform keys (see
+    _smallest), and the keys of a block are drawn only after the block
+    before it is searched, so memory does not grow with ``draws``.
+    Drawing in chunks keeps the RNG stream of one rng.random((draws, p))
+    call. Only the
+    subsets the screen cannot clear reach eigvalsh. Value and witness (the
+    lexicographically smallest on exact ties) are those of solving every
+    group and every draw, and ``subsets_examined`` counts that whole
+    sampled family.
     """
     p = g.shape[0]
     size = _subset_size(s, p)
@@ -284,12 +333,14 @@ def sparse_eig_sampled(
         raise ValueError("draws must be >= 1")
 
     groups = _partner_groups(g, size)
-    best = _lowest(g, groups)
+    seed_groups, rest = _seed_split(g, groups)
+    best = _lowest(g, seed_groups)
     if size < p:  # at size = p every draw is range(p), the one group
+        best = _search(g, size, best, [(_NO_PREFIX, rest)])
         rng = np.random.default_rng(seed)
-        keys = rng.random((draws, p))
-        drawn = np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1)
-        best = _search(g, size, best, [(_NO_PREFIX, drawn)])
+        for lo in range(0, draws, _DRAW_ROWS):
+            drawn = _smallest(rng.random((min(_DRAW_ROWS, draws - lo), p)), size)
+            best = _search(g, size, best, [(_NO_PREFIX, drawn)])
     return SparseEigReport(
         s=int(s),
         value=max(best[0], 0.0),

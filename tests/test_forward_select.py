@@ -1,7 +1,10 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fwdreg.cli import read_dataset
 from fwdreg.core_linalg import (
     Dataset,
     column_moments,
@@ -12,8 +15,9 @@ from fwdreg.core_linalg import (
     ortho_extend,
     standardize,
 )
-from fwdreg.errors import NotStandardized
+from fwdreg.errors import CollinearCandidate, NotStandardized
 from fwdreg.forward_select import forward_regression, parameter_errors, score_all
+from fwdreg.oracle import naive_delta_loss
 from fwdreg.theory_bounds import sparse_eig_exact
 from helpers import orthonormal_design, random_standardized_dataset
 
@@ -209,19 +213,24 @@ def test_chained_inequality_with_exact_eigenvalues():
         assert fr.l2_error <= fr.pred_error_norm / phi * (1 + 1e-9) + 1e-15
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_near_collinear_gains_match_refits(seed):
-    """Column 2 lies within 3e-5 of span(x0, x1), so once two of the three
-    are in, the third has a residual norm^2 near COLLINEAR_TOL and carried
-    norms lose most of their digits. Each recorded gain must still equal
-    the loss drop of two refits."""
+def _near_collinear_dataset(seed):
+    """Column 2 within 3e-5 of x0 + x1, and a response dominated by them."""
     rng = np.random.default_rng(seed)
     n = 100
     x = rng.standard_normal((n, 6))
     z = rng.standard_normal(n)
     x[:, 2] = x[:, 0] + x[:, 1] + 3e-5 * z
     standardize(x)
-    ds = Dataset(x=x, y=300.0 * (x[:, 0] + x[:, 1]) + z - z.mean())
+    return Dataset(x=x, y=300.0 * (x[:, 0] + x[:, 1]) + z - z.mean())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_near_collinear_gains_match_refits(seed):
+    """Column 2 lies within 3e-5 of span(x0, x1), so once two of the three
+    are in, the third has a residual norm^2 near COLLINEAR_TOL and carried
+    norms lose most of their digits. Each recorded gain must still equal
+    the loss drop of two refits."""
+    ds = _near_collinear_dataset(seed)
     fr = forward_regression(ds, t=1e-6)
     assert {0, 1, 2} <= set(fr.support)
     support: list[int] = []
@@ -306,3 +315,59 @@ class TestMetamorphic:
         fr = forward_regression(Dataset(x=ds.x[perm], y=ds.y[perm]), t)
         assert fr.support == base.support
         assert _same_loss(base, fr, ds)
+
+
+CARRIED_CASES = {
+    "random": (lambda: random_standardized_dataset(np.random.default_rng(17), 80, 20, s0=4),
+               0.01),
+    "near_collinear": (lambda: _near_collinear_dataset(0), 1e-6),
+    "adversarial_compare": (
+        lambda: read_dataset(str(pathlib.Path(__file__).parent / "data"
+                                 / "adversarial_compare.csv"))[1],
+        0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIED_CASES))
+class TestCarriedCorrelations:
+    """score_all reads X'r/n from the state, carried by ortho_extend's
+    rank-one updates instead of recomputed from the residual."""
+
+    def test_corr_tracks_residual(self, case):
+        # each update rounds at the scale of X'y/n, where the carried
+        # vector starts, so the tolerance is taken from there: once r is
+        # nearly orthogonal to every column left (the near-collinear fit
+        # after x0 + x1), the current max lies below the rounding of even
+        # a direct product. One column stays out, so X'r/n is never pure
+        # rounding noise.
+        ds = CARRIED_CASES[case][0]()
+        state = initial_state(ds)
+        tol = 1e-12 * np.max(np.abs(state.corr))
+        extended = 0
+        for j in np.random.default_rng(3).permutation(ds.p)[:-1]:
+            try:
+                state = ortho_extend(state, int(j), ds)
+            except CollinearCandidate:
+                continue
+            extended += 1
+            direct = ds.x.T @ state.residual / ds.n
+            np.testing.assert_allclose(state.corr, direct, rtol=0, atol=tol)
+        assert extended >= ds.p - 2
+
+    def test_greedy_steps_match_oracle(self, case):
+        # every step takes the largest loss drop of two independent
+        # extended-precision solves, and no drop left exceeds t
+        ds, t = CARRIED_CASES[case][0](), CARRIED_CASES[case][1]
+        fr = forward_regression(ds, t)
+        assert fr.trace.steps
+        support: list[int] = []
+        for step in fr.trace.steps + (None,):
+            gains = {j: -naive_delta_loss(ds, support, j)
+                     for j in range(ds.p) if j not in support}
+            top = max(gains.values())
+            if step is None:
+                assert top <= t * (1 + 1e-9)
+                break
+            assert gains[step.index] == pytest.approx(top, rel=1e-9)
+            assert step.gain == pytest.approx(gains[step.index], rel=1e-9)
+            support.append(step.index)

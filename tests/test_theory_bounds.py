@@ -16,7 +16,7 @@ from fwdreg.errors import (
 )
 from fwdreg.forward_select import forward_regression
 from fwdreg.oracle import sparse_eig_bruteforce, sparse_eig_sampled_plain
-from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
+from fwdreg.simulate import SimConfig, leading_rows, oracle_threshold, simulate_dataset
 from fwdreg.theory_bounds import (
     constant_c1,
     constant_c2,
@@ -60,15 +60,51 @@ SCREEN_KINDS = ["duplicated", "near_collinear", "toeplitz", "equicorrelated", "p
 
 
 @st.composite
-def integer_grams(draw):
+def integer_grams(draw, max_p=9, extreme_sizes=False):
     """X^T X for a small design with entries in {-1, 0, 1}: repeated,
     negated and zero columns make many subsets share a submatrix, so
-    their eigenvalues tie exactly. Also draws s in 1..p+1."""
-    p = draw(st.integers(2, 9))
+    their eigenvalues tie exactly. Also draws s in 1..p+1, or only 1 and
+    p - 1 with ``extreme_sizes``."""
+    p = draw(st.integers(2, max_p))
     n = draw(st.integers(1, 6))
     cells = draw(st.lists(st.integers(-1, 1), min_size=n * p, max_size=n * p))
     x = np.array(cells, dtype=float).reshape(n, p)
-    return x.T @ x, draw(st.integers(1, p + 1))
+    sizes = st.sampled_from([1, p - 1]) if extreme_sizes else st.integers(1, p + 1)
+    return x.T @ x, draw(sizes)
+
+
+@st.composite
+def tied_rows(draw):
+    """Rows of keys from a handful of values, -inf and both signed zeros
+    among them, so most rows tie at their k-th smallest value; and k."""
+    rows, p = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    cells = draw(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                          min_size=rows * p, max_size=rows * p))
+    return np.array(cells).reshape(rows, p), draw(st.integers(1, p))
+
+
+def _check_tie_heavy(g, s, seed):
+    """Both paths against plain enumeration and the sampled twin."""
+    p = g.shape[0]
+    rep = sparse_eig_exact(g, s)
+    assert rep.value == pytest.approx(sparse_eig_bruteforce(g, s).value, abs=1e-12)
+    lams = {c: float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0])
+            for c in itertools.combinations(range(p), min(s, p))}
+    low = min(lams.values())
+    assert rep.value == max(low, 0.0)
+    # combinations() is lexicographic, so the first subset at the minimum
+    assert rep.witness == next(c for c, lam in lams.items() if lam == low)
+    sampled = sparse_eig_sampled(g, s, draws=20, seed=seed)
+    assert sampled == sparse_eig_sampled_plain(g, s, draws=20, seed=seed)
+
+
+@given(tied_rows())
+def test_smallest_matches_stable_argsort(case):
+    keys, k = case
+    got = theory_bounds._smallest(keys, k)
+    want = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
 
 
 class TestSparseEigExact:
@@ -121,7 +157,7 @@ class TestSparseEigExact:
 
     def test_equicorrelated_solves_each_block_once(self, monkeypatch):
         # rho = 0.5 ties every subset at 0.5, so nothing is screened out:
-        # the partner groups, then one eigvalsh batch per r0 block
+        # the 8 seed groups, then one eigvalsh batch per r0 block
         # (r0 = 3..12 at s = 6, p = 15), not one per prefix
         calls = []
         lowest = theory_bounds._lowest
@@ -131,7 +167,8 @@ class TestSparseEigExact:
         rep = sparse_eig_exact(g, 6)
         assert rep.witness == tuple(range(6))
         assert rep.value == pytest.approx(0.5, abs=1e-12)
-        assert calls[0] == 15 and sum(calls[1:]) == math.comb(15, 6)
+        assert calls[0] == theory_bounds._SEED_GROUPS == 8
+        assert sum(calls[1:]) == math.comb(15, 6)
         assert len(calls) <= 1 + 10
 
     def test_memory_stays_bounded(self):
@@ -204,23 +241,18 @@ class TestSparseEigExact:
 
     @given(integer_grams(), st.integers(0, 3))
     def test_tie_heavy_integer_grams(self, case, seed):
-        g, s = case
-        p = g.shape[0]
-        rep = sparse_eig_exact(g, s)
-        assert rep.value == pytest.approx(sparse_eig_bruteforce(g, s).value, abs=1e-12)
-        lams = {c: float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0])
-                for c in itertools.combinations(range(p), min(s, p))}
-        low = min(lams.values())
-        assert rep.value == max(low, 0.0)
-        # combinations() is lexicographic, so the first subset at the minimum
-        assert rep.witness == next(c for c, lam in lams.items() if lam == low)
-        sampled = sparse_eig_sampled(g, s, draws=20, seed=seed)
-        assert sampled == sparse_eig_sampled_plain(g, s, draws=20, seed=seed)
+        _check_tie_heavy(*case, seed)
+
+    @given(integer_grams(max_p=8, extreme_sizes=True), st.integers(0, 3))
+    def test_tie_heavy_extreme_sizes(self, case, seed):
+        # p <= 8 leaves every partner group in the seed; k = 1 and
+        # k = p - 1 are the edges of the prefix split and of the top-k
+        _check_tie_heavy(*case, seed)
 
     def test_partner_groups_seed_the_incumbent(self, monkeypatch):
-        # the 14 partner groups are solved first; their minimum screens the
-        # first block, prefix (0, 1), too, whose C(12, 3) = 220 subsets
-        # would otherwise all reach eigvalsh
+        # the 8 seed groups of the 14 are solved first; their minimum
+        # screens the first block, prefix (0, 1), too, whose C(12, 3) = 220
+        # subsets would otherwise all reach eigvalsh
         rows = []
         solve = theory_bounds._batched_min_eig
         monkeypatch.setattr(theory_bounds, "_batched_min_eig",
@@ -230,7 +262,7 @@ class TestSparseEigExact:
         ref = sparse_eig_bruteforce(g, 5)
         assert rep.value == pytest.approx(ref.value, abs=1e-12)
         assert rep.witness == ref.witness
-        assert rows[0] == 14 and sum(rows[1:]) < 220
+        assert rows[0] == 8 and sum(rows[1:]) < 220
 
     def test_two_by_two_closed_form(self):
         g = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -335,6 +367,35 @@ class TestSparseEigSampled:
             fast = sparse_eig_sampled(g, s, draws=draws, seed=seed)
             assert fast == sparse_eig_sampled_plain(g, s, draws=draws, seed=seed)
 
+    def test_draws_in_chunks_keep_the_stream(self, monkeypatch):
+        # 50 draws made 7 rows at a time are the 50 of one rng.random call;
+        # the first search is the block of the groups left after the seed
+        blocks = []
+        search = theory_bounds._search
+
+        def spy(g, size, best, searched):
+            blocks.extend(searched)
+            return search(g, size, best, searched)
+
+        monkeypatch.setattr(theory_bounds, "_search", spy)
+        monkeypatch.setattr(theory_bounds, "_DRAW_ROWS", 7)
+        g = screen_gram("toeplitz")
+        rep = sparse_eig_sampled(g, 4, draws=50, seed=2)
+        keys = np.random.default_rng(2).random((50, 9))
+        want = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :4], axis=1)
+        drawn = [tails for _heads, tails in blocks[1:]]
+        assert [t.shape[0] for t in drawn] == [7] * 7 + [1]
+        np.testing.assert_array_equal(np.vstack(drawn), want)
+        assert rep == sparse_eig_sampled_plain(g, 4, draws=50, seed=2)
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "duplicated"])
+    def test_several_draw_chunks_match_plain_twin(self, kind):
+        draws = 2 * theory_bounds._DRAW_ROWS + 3
+        g = screen_gram(kind)
+        for s in (3, 5):
+            assert (sparse_eig_sampled(g, s, draws=draws, seed=4)
+                    == sparse_eig_sampled_plain(g, s, draws=draws, seed=4))
+
     def test_exact_ties_keep_smallest_witness(self):
         # every 10-subset of this Gram has the same submatrix, so all tie;
         # the first partner group is (0, ..., 8, 10)
@@ -351,8 +412,31 @@ class TestSparseEigSampled:
         rep = sparse_eig_sampled(g, 4, draws=500, seed=0)
         assert rep == sparse_eig_sampled_plain(g, 4, draws=500, seed=0)
         assert rep.subsets_examined == 30 + 500
-        # the 30 partner groups, then at most a few draws
-        assert rows[0] == 30 and sum(rows[1:]) < 25
+        # the 8 seed groups, then at most a few of the other 22 groups
+        # and the draws
+        assert rows[0] == 8 and sum(rows[1:]) < 25
+
+    def test_rates_sweep_grams_keep_eigvalsh_traffic_low(self, monkeypatch):
+        # the rates_sweep benchmark config (Toeplitz rho = 0.5, p = 200,
+        # s0 = 5, so k = 10) at every grid n of one replication, 500 draws:
+        # the 8 seed groups and the few of the 192 other groups and 500
+        # draws that survive the screen, against all 200 groups at k = 10
+        # before the seed
+        rows = []
+        solve = theory_bounds._batched_min_eig
+        monkeypatch.setattr(theory_bounds, "_batched_min_eig",
+                            lambda g, idx: (rows[-1].append(idx.shape[0]), solve(g, idx))[1])
+        cfg = SimConfig(n=1600, p=200, s0=5, design="toeplitz", rho=0.5,
+                        theta_pattern="decaying", c=2.0, rate=0.5, noise_sd=1.0,
+                        seed=3 + 3 * 1_000_003)
+        full = simulate_dataset(cfg)
+        for gi, n in enumerate((200, 400, 800, 1600)):
+            rows.append([])
+            rep = sparse_eig_sampled(gram(leading_rows(full, n)), 10, draws=500,
+                                     seed=3 + gi * 1_000_003)
+            assert rep.subsets_examined == 200 + 500
+            assert rows[-1][0] == 8
+        assert max(sum(r) for r in rows) <= 50, rows
 
 
 class TestConstants:
