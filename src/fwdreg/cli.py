@@ -36,7 +36,7 @@ from .errors import FwdregError, ZeroVarianceColumn
 from .forward_select import FitResult, forward_regression
 from .simulate import SimConfig, leading_rows, oracle_threshold, simulate_dataset
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -96,7 +96,11 @@ def standardize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The result is bit-equal to ``(raw - mean) / scale``. ``raw`` must be a
     float64 array; it is left untouched when this raises, which it does as
-    ``column_moments`` does.
+    ``column_moments`` does. Each column is centred twice on purpose:
+    ``column_moments`` squares its one n x p temporary ``raw - mean`` in
+    place for the scale, and ``raw`` is centred only once that has passed.
+    Centring once with the same bits would need a second temporary to keep
+    ``raw - mean`` while the scale is checked.
     """
     if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
         raise TypeError("standardize works in place on a float64 array")
@@ -157,7 +161,11 @@ class OrthoState:
     residual r, and ``col_norm2[j]`` the (1/n) norm^2 of column j
     residualized against the basis. Both are carried by rank-one updates
     from the one product q'X/n of each extension (the covariance form of
-    orthogonal least squares, Blumensath & Davies 2007).
+    orthogonal least squares, Blumensath & Davies 2007). The updates round
+    at the scale of the residual where ``corr`` was last computed directly,
+    so ``ortho_extend`` recomputes it once ``residual_loss`` falls below a
+    quarter of ``corr_loss``, the loss at that direct product; the carried
+    entries then stay within rounding of twice the current residual's norm.
     """
 
     support: tuple[int, ...]
@@ -166,17 +174,20 @@ class OrthoState:
     residual_loss: float
     corr: np.ndarray
     col_norm2: np.ndarray
+    corr_loss: float
 
 
 def initial_state(ds: Dataset) -> OrthoState:
     """Empty-support state: residual is y itself."""
+    loss = en_dot(ds.y, ds.y)
     return OrthoState(
         support=(),
         basis=np.empty((ds.n, 0)),
         residual=ds.y.copy(),
-        residual_loss=en_dot(ds.y, ds.y),
+        residual_loss=loss,
         corr=ds.x.T @ ds.y / ds.n,
         col_norm2=np.einsum("ij,ij->j", ds.x, ds.x) / ds.n,
+        corr_loss=loss,
     )
 
 
@@ -198,6 +209,8 @@ def ortho_extend(state: OrthoState, j: int, ds: Dataset) -> OrthoState:
     One pass over X, the product q'X/n with the new basis vector q,
     updates both carried vectors: r' = r - (q'r/n) q gives
     corr' = corr - (q'r/n) q'X/n, and col_norm2' = col_norm2 - (q'X/n)^2.
+    When the loss of r' is below a quarter of ``state.corr_loss``, a
+    second pass computes corr' = X'r'/n directly instead.
 
     Raises CollinearCandidate when column j lies in the span of the
     current support (residualized (1/n)-norm^2 <= COLLINEAR_TOL).
@@ -214,12 +227,18 @@ def ortho_extend(state: OrthoState, j: int, ds: Dataset) -> OrthoState:
     q = c / math.sqrt(norm2)
     proj = en_dot(q, state.residual)
     residual = state.residual - proj * q
+    loss = en_dot(residual, residual)
     qx = q @ ds.x / ds.n
+    if loss < 0.25 * state.corr_loss:
+        corr, corr_loss = residual @ ds.x / ds.n, loss
+    else:
+        corr, corr_loss = state.corr - proj * qx, state.corr_loss
     return OrthoState(
         support=state.support + (j,),
         basis=np.column_stack([state.basis, q]),
         residual=residual,
-        residual_loss=en_dot(residual, residual),
-        corr=state.corr - proj * qx,
+        residual_loss=loss,
+        corr=corr,
         col_norm2=state.col_norm2 - qx**2,
+        corr_loss=corr_loss,
     )

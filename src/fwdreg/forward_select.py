@@ -82,8 +82,7 @@ def score_all(state: OrthoState, ds: Dataset) -> np.ndarray:
 def forward_regression(ds: Dataset, t: float) -> FitResult:
     """Run the greedy selection loop at threshold t, then refit.
 
-    Ties in the computed scores break toward the lowest column index,
-    which makes the result independent of any parallel scoring schedule.
+    Ties in the computed scores break toward the lowest column index.
     This holds for ties in floating point; an algebraic tie, such as the
     step that reaches s_hat = n - 1 in a saturated fit (every remaining
     column then has the same gain), is settled by rounding. Stopping is

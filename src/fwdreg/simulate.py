@@ -50,12 +50,19 @@ class SimConfig:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.p < 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
         if not 0 <= self.s0 <= self.p:
             raise ValueError("need 0 <= s0 <= p")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
         if not abs(self.rho) < 1:
             raise ValueError("|rho| must be < 1")
+        # the equicorrelation matrix has eigenvalue 1 + (p - 1) rho
+        if (self.design == "equicorrelated" and self.p > 1
+                and not self.rho > -1 / (self.p - 1)):
+            raise ValueError(f"an equicorrelated design needs rho > -1/(p - 1) = "
+                             f"{-1 / (self.p - 1)!r} at p = {self.p}, got {self.rho!r}")
         if self.theta_pattern not in THETA_PATTERNS:
             raise ValueError(f"theta_pattern must be one of {THETA_PATTERNS}")
         if self.noise_sd < 0:

@@ -77,9 +77,7 @@ class BoundReport:
 
     ``threshold_ok`` is the regularization premise evaluated at the
     smallest checked size (m = 0, i.e. phi_min(s0)); per-m admission is
-    re-checked inside ``c2_of_m``. ``caveat_flag`` is set when sampled
-    eigenvalues were used: a sampled phi only upper-bounds the truth, so
-    a failed check is inconclusive while a passed check is genuine.
+    re-checked inside ``c2_of_m``.
     """
 
     c1: float
@@ -87,8 +85,6 @@ class BoundReport:
     threshold_ok: bool
     noise_sup: float
     pred_bound_holds: bool
-    eig_method: str
-    caveat_flag: bool
 
 
 def _batched_min_eig(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -272,8 +268,7 @@ def sparse_eig_exact(
     lexicographically smallest on exact ties) are those of a plain
     enumeration.
 
-    Raises BudgetExceeded when the C(p, k) candidates exceed ``budget``;
-    callers should fall back to sparse_eig_sampled.
+    Raises BudgetExceeded when the C(p, k) candidates exceed ``budget``.
     """
     p = g.shape[0]
     size = _subset_size(s, p)
@@ -398,6 +393,15 @@ def exact_eig_source(g: np.ndarray) -> EigSource:
     return functools.cache(functools.partial(sparse_eig_exact, g))
 
 
+def _exact_eig(eig: EigSource, size: int) -> SparseEigReport:
+    """The exact phi_min(max(size, 1)) from ``eig``; any other method raises."""
+    rep = eig(max(size, 1))
+    if rep.method != "exact":
+        raise ValueError(f"bound checks need the exact phi_min({rep.s}), not a "
+                         f"{rep.method} one: a sampled phi only upper-bounds phi_min")
+    return rep
+
+
 def _fit_size_eig(
     fr: FitResult, ds: Dataset, eig: EigSource
 ) -> tuple[SparseEigReport, set[int]]:
@@ -407,7 +411,7 @@ def _fit_size_eig(
         raise MissingGroundTruth("bound checks need theta0 and pred_error_norm")
     s0_support = set(np.flatnonzero(ds.theta0).tolist())
     s0 = len(s0_support)
-    rep = eig(max(fr.s_hat + s0, 1))
+    rep = _exact_eig(eig, fr.s_hat + s0)
     if rep.value <= 0:
         raise NonpositiveEigenvalue(
             f"minimum sparse eigenvalue phi = {rep.value} at size {rep.s} "
@@ -422,10 +426,10 @@ def verify_theorem1(
     """Check the prediction-error bound and the selection-count bound.
 
     The prediction-error inequality pred_error_norm <= c1 has no premise
-    beyond the algorithm itself; with exact eigenvalues any failure is an
-    implementation bug. The count bound m <= c2(m) * s0 is checked for
-    every m up to the number of false selections whose threshold premise
-    holds at phi_min(m + s0).
+    beyond the algorithm itself, and every phi is exact (see _exact_eig),
+    so any failure is an implementation bug. The count bound
+    m <= c2(m) * s0 is checked for every m up to the number of false
+    selections whose threshold premise holds at phi_min(m + s0).
     """
     noise_sup = noise_covariate_sup(ds)
     pred_rep, s0_support = _fit_size_eig(fr, ds, eig)
@@ -433,13 +437,11 @@ def verify_theorem1(
     c1 = constant_c1(fr.s_hat, s0, pred_rep.value, noise_sup, t)
     pred_bound_holds = fr.pred_error_norm <= c1
 
-    methods = {pred_rep.method}
     m_max = len(set(fr.support) - s0_support)
     checks: list[C2Check] = []
     threshold_ok = False
     for m in range(m_max + 1):
-        rep = eig(max(m + s0, 1))
-        methods.add(rep.method)
+        rep = _exact_eig(eig, m + s0)
         if not threshold_condition(t, rep.value, noise_sup):
             continue
         if m == 0:
@@ -447,15 +449,12 @@ def verify_theorem1(
         c2 = constant_c2(rep.value)
         checks.append(C2Check(m=m, c2=c2, holds=m <= c2 * s0))
 
-    eig_method = "sampled" if "sampled" in methods else "exact"
     return BoundReport(
         c1=c1,
         c2_of_m=tuple(checks),
         threshold_ok=threshold_ok,
         noise_sup=noise_sup,
         pred_bound_holds=pred_bound_holds,
-        eig_method=eig_method,
-        caveat_flag=eig_method == "sampled",
     )
 
 

@@ -356,6 +356,33 @@ def test_negative_seed_rejected(tmp_path, capsys, command, config_seed, flags, m
 @pytest.mark.parametrize(
     "command, flags",
     [("verify", ["--replications", "2"]),
+     ("rates", ["--n-grid", "50,60,70,80", "--replications", "2"])],
+    ids=["verify", "rates"],
+)
+@pytest.mark.parametrize(
+    "config, message",
+    [({"n": 50, "p": 0, "s0": 0}, "p must be >= 1, got 0"),
+     ({"n": 50, "p": 10, "s0": 2, "design": "equicorrelated", "rho": -0.5},
+      "an equicorrelated design needs rho > -1/(p - 1) = -0.1111111111111111 "
+      "at p = 10, got -0.5")],
+    ids=["no-covariates", "equicorrelated-rho"],
+)
+def test_unsimulable_config_rejected(tmp_path, capsys, command, flags, config, message):
+    # these used to fail later, on an unrelated check or in numpy's Cholesky
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), *flags, "-o", str(out)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("verify", ["--replications", "2"]),
      ("rates", ["--n-grid", "3,4,5,6", "--replications", "2"])],
 )
 def test_zero_sparse_eigenvalue_rejected(tmp_path, capsys, command, flags):
@@ -421,7 +448,7 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["all_bounds_hold"]
         assert len(report["records"]) == 5
-        assert report["schema_version"] == "2"
+        assert report["schema_version"] == "3"
 
     def test_thread_count_does_not_change_report(self, tmp_path):
         cfg = self._config(tmp_path)

@@ -334,15 +334,15 @@ class TestCarriedCorrelations:
     rank-one updates instead of recomputed from the residual."""
 
     def test_corr_tracks_residual(self, case):
-        # each update rounds at the scale of X'y/n, where the carried
-        # vector starts, so the tolerance is taken from there: once r is
-        # nearly orthogonal to every column left (the near-collinear fit
-        # after x0 + x1), the current max lies below the rounding of even
-        # a direct product. One column stays out, so X'r/n is never pure
-        # rounding noise.
+        # every entry of X'r/n is at most the current residual's (1/n)-norm
+        # (unit columns), so the tolerance is a few roundings at that
+        # scale, which a direct float64 product meets too; both are held
+        # to an extended-precision product. Carried from X'y/n alone, the
+        # near-collinear fit after x0 + x1 drifted fifty times past
+        # it. One column stays out, so X'r/n is never pure rounding noise.
         ds = CARRIED_CASES[case][0]()
+        x = ds.x.astype(np.longdouble)
         state = initial_state(ds)
-        tol = 1e-12 * np.max(np.abs(state.corr))
         extended = 0
         for j in np.random.default_rng(3).permutation(ds.p)[:-1]:
             try:
@@ -350,8 +350,10 @@ class TestCarriedCorrelations:
             except CollinearCandidate:
                 continue
             extended += 1
-            direct = ds.x.T @ state.residual / ds.n
-            np.testing.assert_allclose(state.corr, direct, rtol=0, atol=tol)
+            exact = x.T @ state.residual.astype(np.longdouble) / ds.n
+            tol = 16 * np.finfo(float).eps * np.sqrt(state.residual_loss)
+            for corr in (state.corr, ds.x.T @ state.residual / ds.n):
+                np.testing.assert_allclose(corr, exact, rtol=0, atol=tol)
         assert extended >= ds.p - 2
 
     def test_greedy_steps_match_oracle(self, case):

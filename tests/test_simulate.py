@@ -29,6 +29,14 @@ class TestSimConfig:
             SimConfig(n=10, p=5, s0=2, design="spiral")
         with pytest.raises(ValueError):
             SimConfig(n=10, p=5, s0=2, design="toeplitz", rho=1.0)
+        with pytest.raises(ValueError, match=r"^p must be >= 1, got 0$"):
+            SimConfig(n=10, p=0, s0=0)
+        # 1 + (p - 1) rho must be positive; a single column has no partner
+        with pytest.raises(ValueError, match=r"needs rho > -1/\(p - 1\) = -0\.25 at p = 5"):
+            SimConfig(n=10, p=5, s0=2, design="equicorrelated", rho=-0.25)
+        for p, rho in ((5, np.nextafter(-0.25, 0.0)), (1, -0.9)):
+            cfg = SimConfig(n=10, p=p, s0=1, design="equicorrelated", rho=rho)
+            assert np.isfinite(simulate_dataset(cfg).x).all()
         # counts and the seed must be integers, the rest finite reals
         for field, value in [
             ("n", 50.5), ("p", 10.0), ("s0", 2.0), ("seed", 1.5), ("seed", "a"),

@@ -498,7 +498,6 @@ class TestVerifyTheorem1:
         assert report.pred_bound_holds
         assert report.threshold_ok
         assert all(c.holds for c in report.c2_of_m)
-        assert not report.caveat_flag
 
     def test_missing_ground_truth(self):
         rng = np.random.default_rng(8)
@@ -559,3 +558,45 @@ class TestVerifyTheorem3:
         with pytest.raises(NonpositiveEigenvalue,
                            match=r"at size 7 \(s_hat = 4, s0 = 3\) .*\(n = 7;"):
             verify_theorem3(fr, ds, eig)
+
+
+class TestExactEigenvaluesOnly:
+    """A sampled phi only upper-bounds phi_min, so a premise met with it
+    may not hold: the bound checks refuse any phi that is not exact."""
+
+    def _fit(self):
+        ds = simulate_dataset(SimConfig(n=60, p=10, s0=2, noise_sd=0.5, seed=21))
+        g = gram(ds)
+        t = oracle_threshold(ds, sparse_eig_exact(g, 4).value)
+        fr = forward_regression(ds, t)
+        assert fr.s_hat >= 1  # so the fit size s_hat + 2 differs from m + s0 at m = 0
+        return ds, g, fr, t
+
+    @pytest.mark.parametrize("check", [
+        lambda fr, ds, t, eig: verify_theorem1(fr, ds, t, eig),
+        lambda fr, ds, t, eig: verify_theorem3(fr, ds, eig),
+    ], ids=["theorem1", "theorem3"])
+    def test_sampled_source_rejected(self, check):
+        ds, g, fr, t = self._fit()
+
+        def sampled(size):
+            return sparse_eig_sampled(g, size, draws=50, seed=0)
+
+        with pytest.raises(ValueError, match=(
+                rf"exact phi_min\({fr.s_hat + 2}\), not a sampled one: "
+                r"a sampled phi only upper-bounds phi_min")):
+            check(fr, ds, t, sampled)
+
+    def test_every_count_size_checked(self):
+        # exact at the fit size only: the count loop's first size, s0 = 2,
+        # is refused on its own
+        ds, g, fr, t = self._fit()
+
+        def mixed(size):
+            if size == fr.s_hat + 2:
+                return sparse_eig_exact(g, size)
+            return sparse_eig_sampled(g, size, draws=50, seed=0)
+
+        assert verify_theorem3(fr, ds, mixed) == (True, True)
+        with pytest.raises(ValueError, match=r"exact phi_min\(2\), not a sampled one"):
+            verify_theorem1(fr, ds, t, mixed)
