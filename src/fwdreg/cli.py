@@ -32,7 +32,7 @@ from .core_linalg import (
     least_squares_on_support,
     standardize,
 )
-from .errors import FwdregError, ZeroVarianceColumn
+from .errors import BudgetExceeded, FwdregError, ZeroVarianceColumn
 from .forward_select import FitResult, forward_regression
 from .simulate import SimConfig, leading_rows, oracle_threshold, simulate_dataset
 
@@ -263,7 +263,12 @@ def run_verify(
     def worker(rep: int) -> dict:
         return _verify_one(cfg, rep, safety, phi_size)
 
-    records = _fan_out(worker, range(replications), threads)
+    try:
+        records = _fan_out(worker, range(replications), threads)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc}; the bound checks take exact phi_min only, so "
+                             f"verify needs a smaller --phi-size (now {phi_size}) "
+                             f"or p") from None
 
     all_pass = all(
         r["pred_bound_holds"] and r["count_bound_holds"]
@@ -322,7 +327,6 @@ def run_rates(
     n_grid: Sequence[int],
     replications: int,
     safety: float = 1.1,
-    draws: int = 500,
     threads: int = 1,
 ) -> dict:
     """Sweep n at fixed p, s0 and regress log median error on log n.
@@ -340,20 +344,16 @@ def run_rates(
     if n_grid[0] < 2:
         raise ValueError(f"n_grid entries must be >= 2, got {n_grid[0]}")
     phi_size = default_phi_size(cfg)
-
-    def seed(gi: int, rep: int) -> int:
-        return cfg.seed + 1_000_003 * gi + rep
+    # replication r draws at base_seed + r; the offset keeps the data of
+    # seeded sweeps from when every grid point had a seed of its own
+    base_seed = cfg.seed + 1_000_003 * (len(n_grid) - 1)
 
     def worker(rep: int) -> list[tuple[float, int]]:
-        full = simulate_dataset(
-            replace(cfg, n=n_grid[-1], seed=seed(len(n_grid) - 1, rep)))
+        full = simulate_dataset(replace(cfg, n=n_grid[-1], seed=base_seed + rep))
         fits = []
-        for gi, n in enumerate(n_grid):
+        for n in n_grid:
             ds = leading_rows(full, n)
-            g = gram(ds)
-            phi = theory_bounds.sparse_eig_sampled(
-                g, phi_size, draws=draws, seed=seed(gi, rep)
-            ).value
+            phi = theory_bounds.sparse_eig_sampled(gram(ds), phi_size).value
             t = oracle_threshold(ds, phi, safety=safety)
             fr = forward_regression(ds, t)
             fits.append((fr.pred_error_norm, fr.s_hat))
@@ -392,7 +392,6 @@ def cmd_rates(args: argparse.Namespace) -> int:
         n_grid=args.n_grid,
         replications=args.replications,
         safety=args.safety,
-        draws=args.draws,
         threads=args.threads,
     )
     rows = summary["rows"]
@@ -409,17 +408,17 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_sparse_eig(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ValueError("--seed must be >= 0")
     names, x, _y = read_csv(args.input)
     standardize(x)
     g = gram(Dataset(x=x, y=np.zeros(x.shape[0])))
     if args.mode == "exact":
-        rep = theory_bounds.sparse_eig_exact(g, args.s)
+        try:
+            rep = theory_bounds.sparse_eig_exact(g, args.s)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"{exc}; sparse-eig --mode sampled gives an upper "
+                                 f"bound without a budget") from None
     else:
-        rep = theory_bounds.sparse_eig_sampled(
-            g, args.s, draws=args.draws, seed=args.seed
-        )
+        rep = theory_bounds.sparse_eig_sampled(g, args.s)
     payload = {
         "schema_version": SCHEMA_VERSION,
         **asdict(rep),
@@ -519,15 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="error-rate sweep over sample sizes")
     rates.add_argument("--n-grid", type=_n_grid, required=True,
                        help="comma list, e.g. 200,400,800,1600")
-    rates.add_argument("--draws", type=int, default=500)
     rates.set_defaults(func=cmd_rates)
 
     eig = sub.add_parser("sparse-eig", parents=[data, out],
                          help="minimum sparse eigenvalue of the Gram matrix")
     eig.add_argument("--s", type=int, required=True)
     eig.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    eig.add_argument("--draws", type=int, default=1000)
-    eig.add_argument("--seed", type=int, default=0)
     eig.set_defaults(func=cmd_sparse_eig)
 
     compare = sub.add_parser("compare", parents=[data, threshold, out],

@@ -17,7 +17,7 @@ import numpy as np
 from .core_linalg import Dataset, en_dot
 from .errors import BudgetExceeded, RankDeficientSupport
 from .simulate import SimConfig, _design_cholesky, _theta_values
-from .theory_bounds import SparseEigReport
+from .theory_bounds import SparseEigReport, _screen_level
 
 _RANK_TOL = 1e-10
 
@@ -150,45 +150,76 @@ def sparse_eig_bruteforce(g: np.ndarray, s: int) -> SparseEigReport:
     )
 
 
-def sparse_eig_sampled_plain(
-    g: np.ndarray, s: int, draws: int, seed: int
-) -> SparseEigReport:
-    """sparse_eig_sampled without its partition-based top-k and its
-    screen: a stable argsort of each row picks the partner groups (one
-    loop per column) and the draws, so ties go to the lower index, and
-    every group and every draw gets eigvalsh. Same RNG stream, drawn in
-    one call; the witness is the lexicographically smallest subset in
-    [groups; draws] that attains the minimum."""
+def sparse_eig_sampled_plain(g: np.ndarray, s: int) -> SparseEigReport:
+    """sparse_eig_sampled without its partition-based top-k, its screen and
+    its vectorized bounds: a stable argsort of each row picks the partner
+    groups (one loop per column), so ties go to the lower index, and every
+    group gets eigvalsh; the witness is the lexicographically smallest
+    group that attains the minimum. The exchange descent then loops over
+    every swap (i out, o in) and solves the 2 x 2 matrix of the Rayleigh
+    quotient over span{u_i, e_o} on its own; it shares only the
+    incumbent's eigh and the rounding margin with the fast path."""
     p = g.shape[0]
     if s < 1:
         raise ValueError("subset size bound s must be >= 1")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
     size = min(int(s), p)
 
-    suspicious: list[tuple[int, ...]] = []
+    groups: list[tuple[int, ...]] = []
     if size == p:
-        suspicious.append(tuple(range(p)))
+        groups.append(tuple(range(p)))
     else:
         offdiag = np.abs(g - np.diag(np.diag(g)))
         for j in range(p):
             order = np.argsort(-offdiag[j], kind="stable")
             partners = [int(k) for k in order if k != j][: size - 1]
-            suspicious.append(tuple(sorted([j] + partners)))
-
-    rng = np.random.default_rng(seed)
-    keys = rng.random((draws, p))
-    drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :size], axis=1)
-
-    idx = np.vstack([np.array(suspicious, dtype=np.intp), drawn.astype(np.intp)])
+            groups.append(tuple(sorted([j] + partners)))
+    idx = np.array(groups, dtype=np.intp)
     vals = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])[:, 0]
-    low = float(vals.min())
+    value = float(vals.min())
+    witness = min(tuple(int(j) for j in row) for row in idx[vals == value])
+
+    solved = 0
+    if size < p:
+        gmax = float(np.max(np.abs(g)))
+        lams, vecs = np.linalg.eigh(g[np.ix_(witness, witness)])
+        lam, v = float(lams[0]), vecs[:, 0]
+        while True:
+            tol = _screen_level(lam, size, gmax) - lam
+            g_s = g[np.ix_(witness, witness)]
+            bounds = {}
+            for o in range(p):
+                if o in witness:
+                    continue
+                for pos, i in enumerate(witness):
+                    u = v.copy()
+                    u[pos] = 0.0
+                    m = float(u @ u)
+                    if m == 0.0:
+                        continue  # no trial vector besides e_o
+                    b = float(g[o, list(witness)] @ u) / math.sqrt(m)
+                    two = np.array([[float(u @ g_s @ u) / m, b], [b, g[o, o]]])
+                    bounds[o, i] = float(np.linalg.eigvalsh(two)[0])
+            if not bounds:
+                break
+            low = min(bounds.values())
+            moves = [key for key, bound in sorted(bounds.items())
+                     if bound <= low + tol and bound < lam - tol]
+            if not moves:
+                break
+            o, i = moves[0]
+            trial = tuple(sorted(set(witness) - {i} | {o}))
+            lams, vecs = np.linalg.eigh(g[np.ix_(trial, trial)])
+            solved += 1
+            if not lams[0] < lam - tol:
+                break
+            witness, lam, v = trial, float(lams[0]), vecs[:, 0]
+            value = lam
     return SparseEigReport(
         s=int(s),
-        value=max(low, 0.0),
+        value=max(value, 0.0),
         method="sampled",
-        witness=min(tuple(int(j) for j in row) for row in idx[vals == low]),
-        subsets_examined=idx.shape[0],
+        witness=witness,
+        subsets_examined=len(groups) + solved,
     )
 
 

@@ -1,10 +1,10 @@
 """Sparse eigenvalues of the Gram matrix and finite-sample bound constants.
 
 Computes the minimum s-sparse eigenvalue (exactly by subset enumeration,
-or as a sampled upper bound), the bound constants that combine it with
-the threshold and the noise-covariate correlation, and end-to-end checks
-of the prediction-error, selection-count and parameter-error bounds on a
-fitted instance with known ground truth.
+or as an upper bound from a local search), the bound constants that
+combine it with the threshold and the noise-covariate correlation, and
+end-to-end checks of the prediction-error, selection-count and
+parameter-error bounds on a fitted instance with known ground truth.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ THEOREM3_RTOL = 1e-9
 
 _CHUNK = 20_000
 
-# Random subsets are drawn this many at a time, so a sampled call holds
-# O(_DRAW_ROWS * p) keys whatever its number of draws.
-_DRAW_ROWS = 4_096
-
 # Partner groups solved by eigvalsh for the first incumbent; the other
 # groups are screened against it.
 _SEED_GROUPS = 8
@@ -54,7 +50,8 @@ class SparseEigReport:
     """Minimum sparse eigenvalue over subsets of size <= s.
 
     ``method`` is "exact" (true minimum, witness achieves it) or "sampled"
-    (minimum over a sampled subfamily, hence an UPPER bound on the truth).
+    (the smallest eigenvalue of the witness found by a local search, hence
+    an UPPER bound on the truth).
     """
 
     s: int
@@ -274,10 +271,7 @@ def sparse_eig_exact(
     size = _subset_size(s, p)
     total = math.comb(p, size)
     if total > budget:
-        raise BudgetExceeded(
-            f"C({p}, {size}) = {total} subsets > budget {budget}; sparse_eig_sampled "
-            f"(sparse-eig --mode sampled) gives an upper bound without a budget"
-        )
+        raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}")
 
     best = _lowest(g, _seed_split(g, _partner_groups(g, size))[0])
     if size < p:  # at size = p the one subset is range(p), the one group
@@ -301,47 +295,94 @@ def sparse_eig_exact(
     )
 
 
-def sparse_eig_sampled(
-    g: np.ndarray, s: int, draws: int, seed: int
-) -> SparseEigReport:
-    """Sampled surrogate: min over random size-s subsets plus, for every
-    column, the group of its most-correlated partners.
+def _descend(
+    g: np.ndarray, size: int, best: tuple[float, tuple[int, ...]]
+) -> tuple[tuple[float, tuple[int, ...]], int]:
+    """Lower the incumbent ``best`` = (value, witness) by single swaps,
+    and count the subsets solved on the way.
 
-    The value is an upper bound on the exact phi_min(s) (a minimum over a
-    subfamily can only be larger), and is reported as such. The
-    _SEED_GROUPS groups of largest sum |G_S| are solved first and give the
-    incumbent (see _seed_split). The other groups are one block for
-    _search, and the draws follow in blocks of their own, _DRAW_ROWS
-    subsets each: a subset is the k smallest of p uniform keys (see
-    _smallest), and the keys of a block are drawn only after the block
-    before it is searched, so memory does not grow with ``draws``.
-    Drawing in chunks keeps the RNG stream of one rng.random((draws, p))
-    call. Only the
-    subsets the screen cannot clear reach eigvalsh. Value and witness (the
-    lexicographically smallest on exact ties) are those of solving every
-    group and every draw, and ``subsets_examined`` counts that whole
-    sampled family.
+    With v the unit eigenvector of lambda = lambda_min(G_S), u_i is v with
+    the entry of i in S zeroed and m_i = |u_i|^2. The Rayleigh quotient of
+    G over span{u_i, e_o} bounds lambda_min(G_{S - i + o}) from above by
+    the smaller eigenvalue of [[a_i / m_i, b_io / sqrt(m_i)],
+    [b_io / sqrt(m_i), g_oo]], with a_i = u_i' G_S u_i and
+    b_io = (G u_i)_o (Moghaddam, Weiss & Avidan 2006). One k x p product
+    gives all k(p - k) bounds; an i with m_i = 0 has no trial vector but
+    e_o and is left out, without dividing by m_i. The swap with the
+    smallest bound is solved, bounds within the rounding margin of the
+    smallest counting as tied, with ties to the lowest (o, i). It is made
+    when its lambda, from the same eigh as the incumbent's, lies below the
+    incumbent's by more than the margin of _screen_level. So every move
+    lowers lambda by at least that margin, no subset comes back and the
+    descent ends. The value of a witness the descent leaves unchanged is
+    the one it came with."""
+    gmax = float(np.max(np.abs(g)))
+    diag = np.diagonal(g)
+    s = np.array(best[1], dtype=np.intp)
+    lams, vecs = np.linalg.eigh(g[s][:, s])
+    lam, v = float(lams[0]), vecs[:, 0]
+    solved = 0
+    while True:
+        u = np.repeat(v[None, :], size, axis=0)
+        np.fill_diagonal(u, 0.0)  # row i is u_i
+        gu = u @ g[s]  # row i is (G u_i)'
+        m = np.einsum("ij,ij->i", u, u)
+        a = np.einsum("ij,ij->i", u, gu[:, s])
+        ok = m > 0
+        m = np.where(ok, m, 1.0)[:, None]
+        alpha = a[:, None] / m
+        half = 0.5 * (alpha - diag)
+        bound = alpha - half - np.sqrt(half * half + gu * gu / m)
+        bound[~ok] = np.inf
+        bound[:, s] = np.inf
+        tol = _screen_level(lam, size, gmax) - lam
+        low = float(bound.min())
+        if not low < lam - tol:
+            break
+        # nonzero walks the transpose with o major, so its first hit is the
+        # lowest (o, i)
+        o, i = (int(k[0]) for k in np.nonzero(((bound <= low + tol) & (bound < lam - tol)).T))
+        trial = s.copy()
+        trial[i] = o
+        trial.sort()
+        lams, vecs = np.linalg.eigh(g[trial][:, trial])
+        solved += 1
+        if not lams[0] < lam - tol:
+            break
+        s, lam, v = trial, float(lams[0]), vecs[:, 0]
+        best = (lam, tuple(int(j) for j in s))
+    return best, solved
+
+
+def sparse_eig_sampled(g: np.ndarray, s: int) -> SparseEigReport:
+    """Deterministic surrogate: min over, for every column, the group of
+    its most-correlated partners, lowered by an exchange descent.
+
+    The value is an upper bound on the exact phi_min(s), since it is the
+    smallest eigenvalue of one size-k submatrix, and is reported as such.
+    The _SEED_GROUPS groups of largest sum |G_S| are solved first and give
+    the incumbent (see _seed_split), and the other groups are one block for
+    _search, which yields the minimum over all groups with the
+    lexicographically smallest witness on exact ties. One chain of
+    _descend then starts from that witness. ``subsets_examined`` counts the
+    groups and the subsets the descent solved.
     """
     p = g.shape[0]
     size = _subset_size(s, p)
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
 
     groups = _partner_groups(g, size)
     seed_groups, rest = _seed_split(g, groups)
     best = _lowest(g, seed_groups)
-    if size < p:  # at size = p every draw is range(p), the one group
+    solved = 0
+    if size < p:  # at size = p the one subset is range(p), the one group
         best = _search(g, size, best, [(_NO_PREFIX, rest)])
-        rng = np.random.default_rng(seed)
-        for lo in range(0, draws, _DRAW_ROWS):
-            drawn = _smallest(rng.random((min(_DRAW_ROWS, draws - lo), p)), size)
-            best = _search(g, size, best, [(_NO_PREFIX, drawn)])
+        best, solved = _descend(g, size, best)
     return SparseEigReport(
         s=int(s),
         value=max(best[0], 0.0),
         method="sampled",
         witness=best[1],
-        subsets_examined=groups.shape[0] + draws,
+        subsets_examined=groups.shape[0] + solved,
     )
 
 

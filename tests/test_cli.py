@@ -1,6 +1,7 @@
 import codecs
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -29,9 +30,8 @@ from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-# the fallback that a BudgetExceeded message names
-BUDGET_HINT = ("sparse_eig_sampled (sparse-eig --mode sampled) gives an upper bound "
-               "without a budget")
+# the fallback that sparse-eig names when an exact request is over budget
+BUDGET_HINT = "sparse-eig --mode sampled gives an upper bound without a budget"
 
 
 def write_rows(path, header, rows):
@@ -328,24 +328,19 @@ def test_non_finite_threshold_or_safety_rejected(
         ("verify", 5, ["--seed", "-5"], "seed must be >= 0"),
         ("verify", -1, [], "seed must be >= 0"),
         ("rates", 5, ["--seed", "-5"], "seed must be >= 0"),
-        ("sparse-eig", None, ["--seed", "-1"], "--seed must be >= 0"),
         ("verify", 5, ["--phi-size", "0"], "phi_size must be >= 1"),
         ("verify", 5, ["--phi-size", "-3"], "phi_size must be >= 1"),
     ],
-    ids=["verify-flag", "verify-config", "rates-flag", "sparse-eig-flag",
+    ids=["verify-flag", "verify-config", "rates-flag",
          "verify-phi-size-0", "verify-phi-size-negative"],
 )
 def test_negative_seed_rejected(tmp_path, capsys, command, config_seed, flags, message):
     # numpy's own "expected non-negative integer" named no input
-    if command == "sparse-eig":
-        source = ["-i", str(DATA / "golden_fit_input.csv"), "--s", "2",
-                  "--mode", "sampled", "--draws", "10"]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(n=60, p=8, s0=2, seed=config_seed)))
-        source = ["--config", str(cfg), "--replications", "1"]
-        if command == "rates":
-            source += ["--n-grid", "60,80,100,120"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(n=60, p=8, s0=2, seed=config_seed)))
+    source = ["--config", str(cfg), "--replications", "1"]
+    if command == "rates":
+        source += ["--n-grid", "60,80,100,120"]
     out = tmp_path / "out"
     code = main([command, *source, *flags, "-o", str(out)])
     assert code == EXIT_INPUT
@@ -407,8 +402,7 @@ def test_zero_sparse_eigenvalue_rejected(tmp_path, capsys, command, flags):
         (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3"],
          "golden_sparse_eig_exact.json"),
         (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
-          "--mode", "sampled", "--draws", "200", "--seed", "5"],
-         "golden_sparse_eig_sampled.json"),
+          "--mode", "sampled"], "golden_sparse_eig_sampled.json"),
     ],
     ids=["verify", "sparse-eig-exact", "sparse-eig-sampled"],
 )
@@ -425,9 +419,29 @@ def test_rates_matches_golden_files(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     assert main(["rates", "--config", str(DATA / "golden_verify_config.json"),
                  "--n-grid", "100,200,400,800", "--replications", "20",
-                 "--draws", "100", "-o", str(out)]) == EXIT_OK
+                 "-o", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / "golden_rates_output.csv").read_bytes()
     assert capsys.readouterr().out == (DATA / "golden_rates_stdout.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rates", "--config", str(DATA / "golden_verify_config.json"),
+      "--n-grid", "100,200,400,800", "--draws", "500"],
+     ["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
+      "--mode", "sampled", "--draws", "200"],
+     ["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
+      "--mode", "sampled", "--seed", "5"]],
+    ids=["rates-draws", "sparse-eig-draws", "sparse-eig-seed"],
+)
+def test_removed_sampling_flags_exit_2(tmp_path, capsys, argv):
+    # the sampled path draws no random subsets, so it takes no count or seed
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-o", str(out)])
+    assert exc.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -468,13 +482,18 @@ class TestVerifyCommand:
         assert report["aggregates"]["s_hat"]["median"] == med
 
     def test_exact_eig_budget_guard(self, tmp_path, capsys):
-        # p large enough that exact enumeration is out of budget
+        # p large enough that exact enumeration is out of budget; the bound
+        # checks take exact phi only, so the sampled path is no way out
         cfg = self._config(tmp_path, p=500, n=50, s0=2)
         out = tmp_path / "o.json"
         code = main(["verify", "--config", cfg, "--replications", "1",
                      "--phi-size", "8", "-o", str(out)])
         assert code == EXIT_INPUT
-        assert BUDGET_HINT in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"error: C(500, 8) = {math.comb(500, 8)} subsets > budget 10000000; "
+                "the bound checks take exact phi_min only, so verify needs a "
+                "smaller --phi-size (now 8) or p\n") == err
+        assert BUDGET_HINT not in err
         assert not out.exists()
 
     def test_zero_eigenvalue_at_fit_size(self, tmp_path, capsys):
@@ -615,17 +634,16 @@ class TestRates:
 
     def test_largest_grid_point_fits_a_plain_simulation(self):
         """The last row is the one simulating each replication alone at the
-        largest n gives, with that grid point's seed for data and phi."""
+        largest n gives, at seed + 1,000,003 * (grid points - 1) + rep."""
         cfg = SimConfig(n=100, p=30, s0=3, design="toeplitz", rho=0.4,
                         theta_pattern="decaying", noise_sd=1.0, seed=17)
-        grid, reps, draws = [60, 90, 150, 240], 5, 40
-        summary = run_rates(cfg, grid, replications=reps, draws=draws, threads=2)
+        grid, reps = [60, 90, 150, 240], 5
+        summary = run_rates(cfg, grid, replications=reps, threads=2)
         errors, sizes = [], []
         for rep in range(reps):
             seed = cfg.seed + 1_000_003 * (len(grid) - 1) + rep
             ds = simulate_dataset(replace(cfg, n=grid[-1], seed=seed))
-            phi = theory_bounds.sparse_eig_sampled(
-                gram(ds), 2 * cfg.s0, draws=draws, seed=seed).value
+            phi = theory_bounds.sparse_eig_sampled(gram(ds), 2 * cfg.s0).value
             fr = forward_regression(ds, oracle_threshold(ds, phi, safety=1.1))
             errors.append(fr.pred_error_norm)
             sizes.append(fr.s_hat)
@@ -636,27 +654,18 @@ class TestRates:
         }
 
     def test_one_draw_per_replication(self, monkeypatch):
-        """Each replication simulates once, at the largest n, and each
-        (grid point, replication) pair computes its own sampled phi."""
-        simulated, sampled = [], []
+        """Each replication simulates once, at the largest n."""
+        simulated = []
 
         def simulate(cfg):
             simulated.append((cfg.n, cfg.seed))
             return simulate_dataset(cfg)
 
-        def sample(g, s, draws, seed):
-            sampled.append(seed)
-            return real_sample(g, s, draws=draws, seed=seed)
-
-        real_sample = theory_bounds.sparse_eig_sampled
         monkeypatch.setattr(cli, "simulate_dataset", simulate)
-        monkeypatch.setattr(theory_bounds, "sparse_eig_sampled", sample)
         cfg = SimConfig(n=50, p=10, s0=2, noise_sd=1.0, seed=5)
-        run_rates(cfg, [50, 100, 200, 400], replications=3, draws=20, threads=2)
+        run_rates(cfg, [50, 100, 200, 400], replications=3, threads=2)
         last = 5 + 1_000_003 * 3
         assert sorted(simulated) == [(400, last + rep) for rep in range(3)]
-        assert sorted(sampled) == sorted(
-            5 + 1_000_003 * gi + rep for gi in range(4) for rep in range(3))
 
 
 class TestSparseEigCommand:
@@ -684,8 +693,7 @@ class TestSparseEigCommand:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             assert main(["sparse-eig", "-i", str(path), "--s", "3",
-                         "--mode", "sampled", "--draws", "50", "--seed", "9",
-                         "-o", str(out)]) == EXIT_OK
+                         "--mode", "sampled", "-o", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         report = json.loads(outputs[0])
@@ -765,7 +773,7 @@ def test_commands_never_import_scipy(tmp_path):
         ["verify", "--config", str(cfg), "--replications", "2",
          "-o", str(tmp_path / "verify.json")],
         ["rates", "--config", str(cfg), "--n-grid", "60,80,100,120",
-         "--replications", "2", "--draws", "20", "-o", str(tmp_path / "rates.csv")],
+         "--replications", "2", "-o", str(tmp_path / "rates.csv")],
         ["compare", "-i", str(DATA / "adversarial_compare.csv"), "-t", "0.05",
          "-o", str(tmp_path / "compare.json")],
     ]

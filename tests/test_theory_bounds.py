@@ -83,7 +83,7 @@ def tied_rows(draw):
     return np.array(cells).reshape(rows, p), draw(st.integers(1, p))
 
 
-def _check_tie_heavy(g, s, seed):
+def _check_tie_heavy(g, s):
     """Both paths against plain enumeration and the sampled twin."""
     p = g.shape[0]
     rep = sparse_eig_exact(g, s)
@@ -94,8 +94,7 @@ def _check_tie_heavy(g, s, seed):
     assert rep.value == max(low, 0.0)
     # combinations() is lexicographic, so the first subset at the minimum
     assert rep.witness == next(c for c, lam in lams.items() if lam == low)
-    sampled = sparse_eig_sampled(g, s, draws=20, seed=seed)
-    assert sampled == sparse_eig_sampled_plain(g, s, draws=20, seed=seed)
+    assert sparse_eig_sampled(g, s) == sparse_eig_sampled_plain(g, s)
 
 
 @given(tied_rows())
@@ -137,9 +136,9 @@ class TestSparseEigExact:
         # blocks r0 = 2..6 hold 1..5 prefixes and C(7, 3) = 35..1 tails.
         # A chunk of 4 puts one prefix in each batch (4 * 3^2 = 36 is less
         # than twice 5^2, the smallest span^2) and at most 4 tails in each
-        # piece; the 2000 draws are one block of 500 pieces
+        # piece
         g = screen_gram(kind)
-        whole = sparse_eig_exact(g, 5), sparse_eig_sampled(g, 5, draws=2000, seed=0)
+        whole = sparse_eig_exact(g, 5), sparse_eig_sampled(g, 5)
         calls = []
         eliminate = theory_bounds._eliminate
         monkeypatch.setattr(theory_bounds, "_eliminate",
@@ -153,7 +152,7 @@ class TestSparseEigExact:
         assert len(pieces) == sum(math.ceil(math.comb(9 - r0, 3) / 4) * (r0 - 1)
                                   for r0 in range(2, 7))
         assert max(pieces) == 4
-        assert sparse_eig_sampled(g, 5, draws=2000, seed=0) == whole[1]
+        assert sparse_eig_sampled(g, 5) == whole[1]
 
     def test_equicorrelated_solves_each_block_once(self, monkeypatch):
         # rho = 0.5 ties every subset at 0.5, so nothing is screened out:
@@ -197,8 +196,7 @@ class TestSparseEigExact:
         low = min(lams.values())
         assert rep.value == max(low, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert rep.witness == next(c for c, lam in lams.items() if lam == low)
-        sampled = sparse_eig_sampled(g, s, draws=200, seed=0)
-        assert sampled == sparse_eig_sampled_plain(g, s, draws=200, seed=0)
+        assert sparse_eig_sampled(g, s) == sparse_eig_sampled_plain(g, s)
 
     @pytest.mark.parametrize("s", [7, 8])
     def test_size_p_solves_one_subset(self, s, monkeypatch):
@@ -239,15 +237,15 @@ class TestSparseEigExact:
         assert rep.witness == subsets[int(np.argmin(lams))]
         assert rep.subsets_examined == 40
 
-    @given(integer_grams(), st.integers(0, 3))
-    def test_tie_heavy_integer_grams(self, case, seed):
-        _check_tie_heavy(*case, seed)
+    @given(integer_grams())
+    def test_tie_heavy_integer_grams(self, case):
+        _check_tie_heavy(*case)
 
-    @given(integer_grams(max_p=8, extreme_sizes=True), st.integers(0, 3))
-    def test_tie_heavy_extreme_sizes(self, case, seed):
+    @given(integer_grams(max_p=8, extreme_sizes=True))
+    def test_tie_heavy_extreme_sizes(self, case):
         # p <= 8 leaves every partner group in the seed; k = 1 and
         # k = p - 1 are the edges of the prefix split and of the top-k
-        _check_tie_heavy(*case, seed)
+        _check_tie_heavy(*case)
 
     def test_partner_groups_seed_the_incumbent(self, monkeypatch):
         # the 8 seed groups of the 14 are solved first; their minimum
@@ -323,17 +321,21 @@ def test_exact_eig_source_solves_each_size_once(monkeypatch):
 
 
 class TestSparseEigSampled:
-    def test_identity_any_draws(self):
-        rep = sparse_eig_sampled(np.eye(10), 4, draws=5, seed=0)
+    def test_identity(self):
+        rep = sparse_eig_sampled(np.eye(10), 4)
         assert rep.value == 1.0
         assert rep.method == "sampled"
 
-    def test_exhaustive_sampling_matches_exact(self):
-        rng = np.random.default_rng(3)
-        g = random_gram(rng, 20, 6)
-        exact = sparse_eig_exact(g, 3)
-        sampled = sparse_eig_sampled(g, 3, draws=5000, seed=1)
+    def test_descent_reaches_exact_on_small_gram(self):
+        # the groups alone stop 39% above the exact value; one swap reaches it
+        g = random_gram(np.random.default_rng(3), 20, 10)
+        exact = sparse_eig_exact(g, 4)
+        groups = theory_bounds._lowest(g, theory_bounds._partner_groups(g, 4))
+        assert groups[0] > 1.38 * exact.value
+        sampled = sparse_eig_sampled(g, 4)
         assert sampled.value == pytest.approx(exact.value, abs=1e-12)
+        assert sampled.witness == exact.witness
+        assert sampled.subsets_examined == 10 + 1
 
     def test_upper_bounds_exact_on_embedding(self):
         # small instance with known exact value embedded in a large matrix
@@ -342,101 +344,142 @@ class TestSparseEigSampled:
         g_big = np.eye(100)
         g_big[:15, :15] = g_small
         exact_small = sparse_eig_exact(g_small, 5)
-        sampled = sparse_eig_sampled(g_big, 5, draws=2000, seed=7)
+        sampled = sparse_eig_sampled(g_big, 5)
         assert sampled.value >= exact_small.value - 1e-12
 
     def test_dominates_exact(self):
         rng = np.random.default_rng(5)
-        for seed in range(10):
+        for _ in range(10):
             g = random_gram(rng, 25, 8)
             exact = sparse_eig_exact(g, 3)
-            sampled = sparse_eig_sampled(g, 3, draws=20, seed=seed)
+            sampled = sparse_eig_sampled(g, 3)
             assert sampled.value >= exact.value - 1e-12
 
-    @pytest.mark.parametrize("draws", [3, 2000])
-    @pytest.mark.parametrize("s", [1, 3, 9])  # 9 = p: one group, range(p)
+    # s = 1 leaves every u_i = 0, so the descent has no move; 9 = p is one
+    # group, range(p), and no descent
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 9])
     @pytest.mark.parametrize(
         "kind", ["independent", "toeplitz", "equicorrelated", "eye", "duplicated"]
     )
-    def test_matches_plain_twin(self, kind, s, draws):
+    def test_matches_plain_twin(self, kind, s):
         # np.eye ties every off-diagonal at 0, and the duplicated and
-        # equicorrelated Grams tie partners and subsets, so the partner
-        # order and the smallest-witness tie rule are both exercised
+        # equicorrelated Grams tie partners, subsets and swap bounds, so the
+        # partner order and both tie rules are exercised
         g = np.eye(9) if kind == "eye" else screen_gram(kind)
-        for seed in range(3):
-            fast = sparse_eig_sampled(g, s, draws=draws, seed=seed)
-            assert fast == sparse_eig_sampled_plain(g, s, draws=draws, seed=seed)
+        assert sparse_eig_sampled(g, s) == sparse_eig_sampled_plain(g, s)
 
-    def test_draws_in_chunks_keep_the_stream(self, monkeypatch):
-        # 50 draws made 7 rows at a time are the 50 of one rng.random call;
-        # the first search is the block of the groups left after the seed
-        blocks = []
-        search = theory_bounds._search
-
-        def spy(g, size, best, searched):
-            blocks.extend(searched)
-            return search(g, size, best, searched)
-
-        monkeypatch.setattr(theory_bounds, "_search", spy)
-        monkeypatch.setattr(theory_bounds, "_DRAW_ROWS", 7)
-        g = screen_gram("toeplitz")
-        rep = sparse_eig_sampled(g, 4, draws=50, seed=2)
-        keys = np.random.default_rng(2).random((50, 9))
-        want = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :4], axis=1)
-        drawn = [tails for _heads, tails in blocks[1:]]
-        assert [t.shape[0] for t in drawn] == [7] * 7 + [1]
-        np.testing.assert_array_equal(np.vstack(drawn), want)
-        assert rep == sparse_eig_sampled_plain(g, 4, draws=50, seed=2)
-
-    @pytest.mark.parametrize("kind", ["toeplitz", "duplicated"])
-    def test_several_draw_chunks_match_plain_twin(self, kind):
-        draws = 2 * theory_bounds._DRAW_ROWS + 3
-        g = screen_gram(kind)
-        for s in (3, 5):
-            assert (sparse_eig_sampled(g, s, draws=draws, seed=4)
-                    == sparse_eig_sampled_plain(g, s, draws=draws, seed=4))
+    @pytest.mark.parametrize("seed, moves", [(8, 3), (16, 3), (19, 4), (20, 3)])
+    def test_matches_plain_twin_over_several_moves(self, seed, moves):
+        # the descent of the Grams above makes no move; these p = 30 Grams
+        # each take a few at k = 6
+        g = random_gram(np.random.default_rng(seed), 40, 30)
+        rep = sparse_eig_sampled(g, 6)
+        assert rep.subsets_examined == 30 + moves
+        assert rep == sparse_eig_sampled_plain(g, 6)
 
     def test_exact_ties_keep_smallest_witness(self):
         # every 10-subset of this Gram has the same submatrix, so all tie;
-        # the first partner group is (0, ..., 8, 10)
+        # the first partner group is (0, ..., 9)
         g = np.full((12, 12), 0.4) + 0.6 * np.eye(12)
-        rep = sparse_eig_sampled(g, 10, draws=500, seed=0)
+        rep = sparse_eig_sampled(g, 10)
         assert rep.witness == tuple(range(10)) == sparse_eig_exact(g, 10).witness
+        assert rep.subsets_examined == 12
 
-    def test_screen_keeps_draws_from_eigvalsh(self, monkeypatch):
+    def test_screen_keeps_groups_from_eigvalsh(self, monkeypatch):
         rows = []
         solve = theory_bounds._batched_min_eig
         monkeypatch.setattr(theory_bounds, "_batched_min_eig",
                             lambda g, idx: (rows.append(idx.shape[0]), solve(g, idx))[1])
         g = random_gram(np.random.default_rng(13), 200, 30)
-        rep = sparse_eig_sampled(g, 4, draws=500, seed=0)
-        assert rep == sparse_eig_sampled_plain(g, 4, draws=500, seed=0)
-        assert rep.subsets_examined == 30 + 500
-        # the 8 seed groups, then at most a few of the other 22 groups
-        # and the draws
+        rep = sparse_eig_sampled(g, 4)
+        assert rep == sparse_eig_sampled_plain(g, 4)
+        # the 8 seed groups, then at most a few of the other 22 groups;
+        # the descent solves its one subset with eigh
         assert rows[0] == 8 and sum(rows[1:]) < 25
+        assert rep.subsets_examined == 30 + 1
 
     def test_rates_sweep_grams_keep_eigvalsh_traffic_low(self, monkeypatch):
         # the rates_sweep benchmark config (Toeplitz rho = 0.5, p = 200,
-        # s0 = 5, so k = 10) at every grid n of one replication, 500 draws:
-        # the 8 seed groups and the few of the 192 other groups and 500
-        # draws that survive the screen, against all 200 groups at k = 10
-        # before the seed
-        rows = []
-        solve = theory_bounds._batched_min_eig
-        monkeypatch.setattr(theory_bounds, "_batched_min_eig",
-                            lambda g, idx: (rows[-1].append(idx.shape[0]), solve(g, idx))[1])
+        # s0 = 5, so k = 10) at every grid n of one replication: the 8 seed
+        # groups and the few of the 192 other groups that survive the
+        # screen, against all 200 groups at k = 10 before the seed; then
+        # a descent of a few moves
         cfg = SimConfig(n=1600, p=200, s0=5, design="toeplitz", rho=0.5,
                         theta_pattern="decaying", c=2.0, rate=0.5, noise_sd=1.0,
                         seed=3 + 3 * 1_000_003)
         full = simulate_dataset(cfg)
-        for gi, n in enumerate((200, 400, 800, 1600)):
+        grams = [gram(leading_rows(full, n)) for n in (200, 400, 800, 1600)]
+        groups = [theory_bounds._lowest(g, theory_bounds._partner_groups(g, 10))[0]
+                  for g in grams]
+        rows = []
+        solve = theory_bounds._batched_min_eig
+        monkeypatch.setattr(theory_bounds, "_batched_min_eig",
+                            lambda g, idx: (rows[-1].append(idx.shape[0]), solve(g, idx))[1])
+        reports = []
+        for g in grams:
             rows.append([])
-            rep = sparse_eig_sampled(gram(leading_rows(full, n)), 10, draws=500,
-                                     seed=3 + gi * 1_000_003)
-            assert rep.subsets_examined == 200 + 500
+            reports.append(sparse_eig_sampled(g, 10))
             assert rows[-1][0] == 8
         assert max(sum(r) for r in rows) <= 50, rows
+        assert [rep.subsets_examined - 200 for rep in reports] == [3, 3, 2, 1]
+        # the descent lowers the groups' value by 14.6%, 5.1%, 1.8% and 0.8%
+        assert all(rep.value < 0.99 * low for rep, low in zip(reports[:3], groups))
+        assert reports[3].value < groups[3]
+
+
+class TestExchangeDescent:
+    """Properties of the exchange descent of sparse_eig_sampled on the
+    tie-heavy integer Grams, and its two numerical edge cases."""
+
+    @given(integer_grams())
+    def test_stays_an_upper_bound(self, case):
+        g, s = case
+        assert sparse_eig_sampled(g, s).value >= sparse_eig_bruteforce(g, s).value - 1e-9
+
+    @given(integer_grams())
+    def test_never_above_the_groups(self, case):
+        g, s = case
+        size = min(s, g.shape[0])
+        groups = theory_bounds._lowest(g, theory_bounds._partner_groups(g, size))
+        assert sparse_eig_sampled(g, s).value <= max(groups[0], 0.0)
+
+    @given(integer_grams())
+    def test_repeatable(self, case):
+        assert sparse_eig_sampled(*case) == sparse_eig_sampled(*case)
+
+    def test_rounding_ties_end_the_descent(self, monkeypatch):
+        # lambda_min of G_S is 0 on both (0, 1, 5) and (0, 2, 5); eigh puts
+        # it at 2.6e-17 on both and eigvalsh at -1.8e-16, so a descent that
+        # compared a swap's eigvalsh with the incumbent's eigh, or took any
+        # decrease, swapped between the two for ever
+        x = np.array([[1.0, 0, 0, 0, 1, 1], [-1, -1, 1, 0, 0, -1]])
+        g = x.T @ x
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            if len(calls) > 50:
+                pytest.fail("the descent did not end")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rep = sparse_eig_sampled(g, 3)
+        assert rep == sparse_eig_sampled_plain(g, 3)
+        assert rep.value == pytest.approx(0.0, abs=1e-12)
+        assert rep.value == sparse_eig_bruteforce(g, 3).value
+
+    def test_concentrated_eigenvector_has_no_trial_vector(self):
+        # column 0 is uncorrelated with the rest and has the smallest
+        # variance, so v = e_0 on the witness (0, 1): m_0 = 0, which the
+        # bounds leave out without dividing by it
+        g = np.full((6, 6), 0.3) + 0.7 * np.eye(6)
+        g[0, 1:] = g[1:, 0] = 0.0
+        g[0, 0] = 0.2
+        with np.errstate(all="raise"):
+            rep = sparse_eig_sampled(g, 2)
+        assert rep.witness == (0, 1) and rep.value == 0.2
+        assert rep == sparse_eig_sampled_plain(g, 2)
 
 
 class TestConstants:
@@ -580,7 +623,7 @@ class TestExactEigenvaluesOnly:
         ds, g, fr, t = self._fit()
 
         def sampled(size):
-            return sparse_eig_sampled(g, size, draws=50, seed=0)
+            return sparse_eig_sampled(g, size)
 
         with pytest.raises(ValueError, match=(
                 rf"exact phi_min\({fr.s_hat + 2}\), not a sampled one: "
@@ -595,7 +638,7 @@ class TestExactEigenvaluesOnly:
         def mixed(size):
             if size == fr.s_hat + 2:
                 return sparse_eig_exact(g, size)
-            return sparse_eig_sampled(g, size, draws=50, seed=0)
+            return sparse_eig_sampled(g, size)
 
         assert verify_theorem3(fr, ds, mixed) == (True, True)
         with pytest.raises(ValueError, match=r"exact phi_min\(2\), not a sampled one"):
