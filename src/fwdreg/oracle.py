@@ -16,7 +16,7 @@ import numpy as np
 
 from .core_linalg import Dataset, en_dot
 from .errors import BudgetExceeded, RankDeficientSupport
-from .simulate import SimConfig, _design_cholesky, _theta_values
+from .simulate import SimConfig, _theta_values
 from .theory_bounds import SparseEigReport, _screen_level
 
 _RANK_TOL = 1e-10
@@ -221,6 +221,20 @@ def sparse_eig_sampled_plain(g: np.ndarray, s: int) -> SparseEigReport:
         witness=witness,
         subsets_examined=len(groups) + solved,
     )
+
+
+def _design_cholesky(cfg: SimConfig) -> np.ndarray | None:
+    """Lower Cholesky factor of the population covariance, or None for the
+    identity; simulate_dataset applies it by column recursions instead."""
+    if cfg.design == "independent" or cfg.rho == 0.0:
+        return None
+    if cfg.design == "equicorrelated":
+        cov = np.full((cfg.p, cfg.p), cfg.rho)
+        np.fill_diagonal(cov, 1.0)
+    else:  # toeplitz: entry (j, k) = rho^|j-k|
+        k = np.arange(cfg.p)
+        cov = (cfg.rho ** k)[np.abs(k[:, None] - k[None, :])]
+    return np.linalg.cholesky(cov)
 
 
 def leading_rows_plain(cfg: SimConfig, n: int) -> Dataset:

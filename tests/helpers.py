@@ -1,8 +1,19 @@
 """Shared test utilities."""
 
+import os
+import pathlib
+
 import numpy as np
 
+import fwdreg
 from fwdreg.core_linalg import Dataset, standardize
+
+
+def child_env(**overrides):
+    """Environment for a fresh interpreter that imports this fwdreg."""
+    src = str(pathlib.Path(fwdreg.__file__).resolve().parents[1])
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def orthonormal_design(rng, n, p):

@@ -2,7 +2,6 @@ import codecs
 import csv
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -11,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import fwdreg
 from fwdreg import cli, oracle, theory_bounds
 from fwdreg.cli import (
     EXIT_BOUND_FAILURE,
@@ -27,6 +25,7 @@ from fwdreg.cli import (
 from fwdreg.core_linalg import gram
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
+from helpers import child_env
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -249,13 +248,6 @@ def test_utf8_byte_order_mark_dropped(tmp_path, header):
     assert reports[0] == reports[1]
 
 
-def _child_env():
-    """Environment for a fresh interpreter that imports this fwdreg."""
-    src = str(pathlib.Path(fwdreg.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 _DEV_MODE_SCRIPT = """
 import sys
 import fwdreg.cli
@@ -284,7 +276,7 @@ def test_dev_mode_run_is_clean(tmp_path, argv, code, stderr):
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c", _DEV_MODE_SCRIPT,
          *argv, "-i", str(path), "-o", str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == code, proc.stderr
     if stderr:
@@ -779,7 +771,7 @@ def test_commands_never_import_scipy(tmp_path):
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
-        capture_output=True, text=True, env=_child_env(), check=True,
+        capture_output=True, text=True, env=child_env(), check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [EXIT_OK] * 4, "scipy": []}

@@ -1,11 +1,12 @@
-"""Memory of the CSV data path and of the selection loop, measured with
-tracemalloc (numpy reports its array buffers to it).
+"""Memory of the CSV data path, of simulation and of the selection loop,
+measured with tracemalloc (numpy reports its array buffers to it).
 
 The parsed n x (p+1) table is the unit for reading: streaming the rows
 into the parser and standardizing the design in place keep the peak near
-two tables (the table and the design split off it). The selection loop
-allocates vectors of length n or p and n x k bases, never a design-sized
-temporary."""
+two tables (the table and the design split off it). A simulated draw
+correlates its normals in place, so it holds at most the draw and the
+standardized design. The selection loop allocates vectors of length n or
+p and n x k bases, never a design-sized temporary."""
 
 import tracemalloc
 
@@ -14,6 +15,7 @@ import pytest
 
 from fwdreg.cli import read_dataset
 from fwdreg.forward_select import forward_regression
+from fwdreg.simulate import SimConfig, simulate_dataset
 
 N, P = 400, 250
 
@@ -49,6 +51,15 @@ def test_read_dataset_peak_is_near_two_tables(wide_csv):
     assert ds.x.shape == (N, P)
     table = 8 * N * (P + 1)
     assert peak <= 2.5 * table, f"peak {peak / table:.2f} tables"
+
+
+@pytest.mark.parametrize("design", ["toeplitz", "equicorrelated"])
+def test_simulate_dataset_peak_is_near_two_designs(design):
+    cfg = SimConfig(n=1600, p=200, s0=5, design=design, rho=0.5, seed=3)
+    simulate_dataset(SimConfig(n=2, p=1, s0=1))  # imports numpy.random
+    ds, peak = _peak_bytes(simulate_dataset, cfg)
+    design_bytes = ds.x.nbytes
+    assert peak <= 2.2 * design_bytes, f"peak {peak / design_bytes:.2f} designs"
 
 
 def test_forward_regression_makes_no_design_sized_temporary(wide_csv):

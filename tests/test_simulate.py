@@ -1,13 +1,15 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fwdreg import simulate
-from fwdreg.core_linalg import Dataset, gram, is_standardized
+from fwdreg import oracle, simulate
+from fwdreg.core_linalg import Dataset, column_moments, gram, is_standardized
 from fwdreg.errors import MissingGroundTruth
 from fwdreg.oracle import leading_rows_plain
 from fwdreg.simulate import (
@@ -17,6 +19,7 @@ from fwdreg.simulate import (
     oracle_threshold,
     simulate_dataset,
 )
+from helpers import child_env
 
 
 class TestSimConfig:
@@ -116,18 +119,79 @@ class TestSimulateDataset:
 @pytest.mark.parametrize(
     "p, rho", [(1, 0.3), (2, -0.7), (5, 0.9), (30, 0.5), (200, 0.3), (17, -0.45)]
 )
-def test_toeplitz_build_bit_identical_to_scipy(monkeypatch, p, rho):
-    """The numpy Toeplitz build equals scipy.linalg.toeplitz bit for bit,
-    so every simulated Toeplitz dataset is unchanged by it."""
+def test_toeplitz_build_bit_identical_to_scipy(p, rho):
+    """The dense twin's numpy Toeplitz build equals scipy.linalg.toeplitz
+    bit for bit."""
     cfg = SimConfig(n=40, p=p, s0=1, design="toeplitz", rho=rho, seed=p)
     reference = np.linalg.cholesky(scipy.linalg.toeplitz(rho ** np.arange(p)))
-    assert np.array_equal(simulate._design_cholesky(cfg), reference)
+    assert np.array_equal(oracle._design_cholesky(cfg), reference)
 
-    ds = simulate_dataset(cfg)
-    monkeypatch.setattr(simulate, "_design_cholesky", lambda _cfg: reference)
-    ref_ds = simulate_dataset(cfg)
+
+def _edge_rho(p):
+    """Just inside the equicorrelated limit rho > -1/(p - 1); one column
+    has no limit."""
+    return -1 / (p - 1) + 1e-6 if p > 1 else -0.99
+
+
+TWIN_CASES = [
+    *(("toeplitz", p, rho) for p in (1, 2, 5, 200) for rho in (-0.7, 0.3, 0.99)),
+    *(("equicorrelated", p, rho) for p in (1, 2, 5, 200)
+      for rho in (_edge_rho(p), 0.3, 0.99)),
+]
+
+
+@pytest.mark.parametrize("design, p, rho", TWIN_CASES)
+def test_correlated_design_agrees_with_dense_twin(design, p, rho):
+    """The column recursions are the Cholesky factor itself: they meet the
+    dense product raw @ chol.T of the oracle to rounding, on the same
+    normals, so the noise and the support are drawn unchanged."""
+    cfg = SimConfig(n=300, p=p, s0=min(p, 3), design=design, rho=rho,
+                    theta_pattern="decaying", seed=p)
+    got, want = simulate_dataset(cfg), leading_rows_plain(cfg, cfg.n)
+    for name in ("x", "y", "theta0"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    assert np.array_equal(got.epsilon, want.epsilon)
+    assert np.array_equal(np.flatnonzero(got.theta0), np.flatnonzero(want.theta0))
+
+
+@pytest.mark.parametrize("design", simulate.DESIGNS)
+def test_uncorrelated_design_is_the_standardized_draw(design):
+    """With rho = 0 the draw is only standardized, bit for bit as
+    (raw - mean) / scale."""
+    cfg = SimConfig(n=200, p=30, s0=4, design=design, seed=9)
+    raw = np.random.default_rng(cfg.seed).standard_normal((cfg.n, cfg.p))
+    mean, scale = column_moments(raw)
+    assert np.array_equal(simulate_dataset(cfg).x, (raw - mean) / scale)
+
+
+_HASH_SCRIPT = """
+import hashlib
+from fwdreg.simulate import SimConfig, simulate_dataset
+digest = hashlib.sha256()
+for design in ("toeplitz", "equicorrelated"):
+    ds = simulate_dataset(SimConfig(n=1600, p=200, s0=5, design=design,
+                                    rho=0.5, seed=3))
     for name in ("x", "y", "theta0", "epsilon"):
-        assert np.array_equal(getattr(ds, name), getattr(ref_ds, name))
+        digest.update(getattr(ds, name).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_blas_thread_count():
+    """Seeded correlated designs are bit-identical under one and two BLAS
+    threads. At 1600 x 200 OpenBLAS splits a dense product across its
+    threads, and the split changes the rounding; at 400 x 60 it does not,
+    so a smaller size cannot tell."""
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT], capture_output=True,
+            text=True, check=True, timeout=300,
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert digests["1"] == digests["2"], digests
 
 
 class TestLeadingRows:
