@@ -16,6 +16,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -159,9 +160,12 @@ def read_dataset(path: str) -> tuple[list[str], Dataset, np.ndarray, np.ndarray,
 def _fan_out(worker: Callable, jobs: Sequence, threads: int) -> list:
     """Run ``worker`` on every job over ``threads`` threads. Results come
     back in job order and a worker's error is re-raised, so the thread
-    count changes neither the output nor the exit code."""
+    count changes neither the output nor the exit code. One thread is the
+    calling thread itself, with no pool and no worker heap."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if threads == 1:
+        return [worker(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, jobs))
 
@@ -236,10 +240,32 @@ def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
     }
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """The q-quantile of a sorted float array by numpy's default "linear"
+    rule, bit-equal to np.quantile, whose first call imports numpy.ma."""
+    if np.isnan(ordered[-1]):
+        return math.nan
+    pos = (ordered.size - 1) * q
+    lo = math.floor(pos)
+    a, b = ordered[lo], ordered[min(lo + 1, ordered.size - 1)]
+    t = pos - lo
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
+def _median(values: Sequence[float]) -> float:
+    """Bit-equal to np.median, without its first-call import of numpy.ma."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if np.isnan(ordered[-1]):
+        return math.nan
+    # the middle value, or the mean of the middle two
+    return float(np.mean(ordered[(ordered.size - 1) // 2:ordered.size // 2 + 1]))
+
+
 def _median_iqr(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=float)
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return {"median": float(med), "iqr": float(q3 - q1)}
+    ordered = np.sort(np.asarray(values, dtype=float))
+    q1, med, q3 = (_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
+    return {"median": med, "iqr": q3 - q1}
 
 
 def run_verify(
@@ -348,16 +374,17 @@ def run_rates(
     # seeded sweeps from when every grid point had a seed of its own
     base_seed = cfg.seed + 1_000_003 * (len(n_grid) - 1)
 
+    def fit(full: Dataset, n: int) -> tuple[float, int]:
+        # a grid point's rows die on return, before the next are copied
+        ds = leading_rows(full, n)
+        phi = theory_bounds.sparse_eig_sampled(gram(ds), phi_size).value
+        t = oracle_threshold(ds, phi, safety=safety)
+        fr = forward_regression(ds, t)
+        return fr.pred_error_norm, fr.s_hat
+
     def worker(rep: int) -> list[tuple[float, int]]:
         full = simulate_dataset(replace(cfg, n=n_grid[-1], seed=base_seed + rep))
-        fits = []
-        for n in n_grid:
-            ds = leading_rows(full, n)
-            phi = theory_bounds.sparse_eig_sampled(gram(ds), phi_size).value
-            t = oracle_threshold(ds, phi, safety=safety)
-            fr = forward_regression(ds, t)
-            fits.append((fr.pred_error_norm, fr.s_hat))
-        return fits
+        return [fit(full, n) for n in n_grid]
 
     # results[rep][gi]
     results = _fan_out(worker, range(replications), threads)
@@ -368,8 +395,8 @@ def run_rates(
         rows.append(
             {
                 "n": n,
-                "median_pred_error_norm": float(np.median([c[0] for c in chunk])),
-                "median_s_hat": float(np.median([c[1] for c in chunk])),
+                "median_pred_error_norm": _median([c[0] for c in chunk]),
+                "median_s_hat": _median([c[1] for c in chunk]),
             }
         )
 
@@ -523,7 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
     eig = sub.add_parser("sparse-eig", parents=[data, out],
                          help="minimum sparse eigenvalue of the Gram matrix")
     eig.add_argument("--s", type=int, required=True)
-    eig.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    eig.add_argument("--mode", choices=("exact", "sampled"), default="exact",
+                     help="exact: enumerate every size-s subset (exact, and cheap "
+                          "when C(p, s) is small); sampled: an upper bound from "
+                          "partner groups and one exchange descent, which can sit "
+                          "above the exact value even on small Gram matrices")
     eig.set_defaults(func=cmd_sparse_eig)
 
     compare = sub.add_parser("compare", parents=[data, threshold, out],

@@ -29,6 +29,9 @@ RANK_TOL = 1e-10
 # Largest column mean and second-moment deviation from 1 of a standardized design.
 STANDARDIZED_TOL = 1e-8
 
+# Columns per block of the centred temporary in column_moments.
+MOMENT_BLOCK = 32
+
 
 def en_dot(u: np.ndarray, v: np.ndarray) -> float:
     """(1/n)-scaled inner product of two vectors in R^n."""
@@ -70,6 +73,13 @@ class Dataset:
 def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and sqrt of the biased (1/n) central second moment.
 
+    The second moment is bit-equal to ``((raw - mean) ** 2).mean(axis=0)``
+    in C and F order, but the centred temporary spans MOMENT_BLOCK columns
+    at a time, never the whole n x p design. No block is a single column
+    unless p = 1: numpy sums a C-ordered (n, 1) slice pairwise, while it
+    adds the rows of a wider C-ordered block, as of the whole design, in
+    order.
+
     Raises ValueError unless ``raw`` is a 2-d matrix with at least two
     rows, and ZeroVarianceColumn for a constant column (scale within
     rounding of zero relative to its mean); the caller must drop it or
@@ -81,9 +91,17 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if raw.shape[0] < 2:
         raise ValueError("standardization needs at least two observations")
     mean = raw.mean(axis=0)
-    dev = raw - mean
-    np.square(dev, out=dev)
-    scale = np.sqrt(dev.mean(axis=0))
+    p = raw.shape[1]
+    starts = list(range(0, p, MOMENT_BLOCK))
+    if len(starts) > 1 and p - starts[-1] == 1:
+        starts.pop()  # the last block takes the one-column tail
+    second = np.empty(p)
+    for lo, hi in zip(starts, starts[1:] + [p]):
+        dev = raw[:, lo:hi] - mean[lo:hi]
+        np.square(dev, out=dev)
+        second[lo:hi] = dev.mean(axis=0)
+        del dev  # before the next block is allocated
+    scale = np.sqrt(second)
     bad = np.flatnonzero(scale <= 1e-13 * (np.abs(mean) + 1.0))
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
@@ -96,11 +114,9 @@ def standardize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The result is bit-equal to ``(raw - mean) / scale``. ``raw`` must be a
     float64 array; it is left untouched when this raises, which it does as
-    ``column_moments`` does. Each column is centred twice on purpose:
-    ``column_moments`` squares its one n x p temporary ``raw - mean`` in
-    place for the scale, and ``raw`` is centred only once that has passed.
-    Centring once with the same bits would need a second temporary to keep
-    ``raw - mean`` while the scale is checked.
+    ``column_moments`` does: both moments are known before ``raw`` is
+    written, and taking them holds one block of columns, not a second
+    design.
     """
     if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
         raise TypeError("standardize works in place on a float64 array")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fwdreg.core_linalg import (
+    MOMENT_BLOCK,
     Dataset,
     _residualize,
     column_moments,
@@ -63,6 +64,27 @@ class TestStandardize:
         assert mean.tobytes() == ref_mean.tobytes()
         assert scale.tobytes() == ref_scale.tobytes()
         assert x.flags[f"{order}_CONTIGUOUS"]
+        assert x.tobytes(order="A") == ((raw - mean) / scale).tobytes(order="A")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, p", [
+        (2, 1), (2, 5), (37, 1), (37, 2), (37, MOMENT_BLOCK - 1), (37, MOMENT_BLOCK),
+        (37, MOMENT_BLOCK + 1),  # would end on a one-column block
+        (37, 2 * MOMENT_BLOCK + 1), (37, 2 * MOMENT_BLOCK + 2), (300, 3 * MOMENT_BLOCK + 7),
+    ])
+    def test_blocked_moments_match_two_pass_reference(self, order, n, p):
+        """The blocked second moment is bit-equal to centring the whole
+        design at once, whatever the block split and memory order."""
+        rng = np.random.default_rng(n * 1000 + p)
+        raw = np.asarray(rng.standard_normal((n, p)) * 7 + 40, order=order)
+        before = raw.copy(order="K")
+        mean, scale = column_moments(raw)
+        assert raw.tobytes(order="A") == before.tobytes(order="A")
+        assert mean.tobytes() == raw.mean(axis=0).tobytes()
+        ref_scale = np.sqrt(((raw - mean) ** 2).mean(axis=0))
+        assert scale.tobytes() == ref_scale.tobytes()
+        x = raw.copy(order="K")
+        assert [m.tobytes() for m in standardize(x)] == [mean.tobytes(), scale.tobytes()]
         assert x.tobytes(order="A") == ((raw - mean) / scale).tobytes(order="A")
 
     @pytest.mark.parametrize(

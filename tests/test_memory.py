@@ -3,17 +3,22 @@ measured with tracemalloc (numpy reports its array buffers to it).
 
 The parsed n x (p+1) table is the unit for reading: streaming the rows
 into the parser and standardizing the design in place keep the peak near
-two tables (the table and the design split off it). A simulated draw
-correlates its normals in place, so it holds at most the draw and the
-standardized design. The selection loop allocates vectors of length n or
-p and n x k bases, never a design-sized temporary."""
+two tables (the table and the design split off it). Column moments hold
+one block of columns at a time, and a simulated draw is correlated and
+standardized in place, so it holds one design. A `rates` replication
+holds its draw and the current grid point's rows. The selection loop
+allocates vectors of length n or p and n x k bases, never a design-sized
+temporary. One job thread is the calling thread, so it starts no worker
+thread (nor the heap a new thread's allocations get)."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fwdreg.cli import read_dataset
+from fwdreg.cli import _fan_out, read_dataset, run_rates
+from fwdreg.core_linalg import column_moments
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, simulate_dataset
 
@@ -53,13 +58,52 @@ def test_read_dataset_peak_is_near_two_tables(wide_csv):
     assert peak <= 2.5 * table, f"peak {peak / table:.2f} tables"
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_moments_holds_a_block_not_a_design(order):
+    raw = np.asarray(np.random.default_rng(5).standard_normal((1600, 200)), order=order)
+    _moments, peak = _peak_bytes(column_moments, raw)
+    assert peak <= 0.25 * raw.nbytes, f"peak {peak / raw.nbytes:.2f} designs"
+
+
 @pytest.mark.parametrize("design", ["toeplitz", "equicorrelated"])
-def test_simulate_dataset_peak_is_near_two_designs(design):
+def test_simulate_dataset_peak_is_near_one_design(design):
     cfg = SimConfig(n=1600, p=200, s0=5, design=design, rho=0.5, seed=3)
     simulate_dataset(SimConfig(n=2, p=1, s0=1))  # imports numpy.random
     ds, peak = _peak_bytes(simulate_dataset, cfg)
     design_bytes = ds.x.nbytes
-    assert peak <= 2.2 * design_bytes, f"peak {peak / design_bytes:.2f} designs"
+    assert peak <= 1.3 * design_bytes, f"peak {peak / design_bytes:.2f} designs"
+
+
+@pytest.mark.parametrize("p", [100, 200])
+def test_rates_replication_holds_its_draw_and_one_grid_point(p):
+    """The rates_sweep benchmark's config (p = 200) and a narrower one. At
+    p = 200 the sampled eigenvalue's p x p temporaries set the peak; at
+    p = 100 the copy of the next grid point's rows does, so this fails if
+    the last point's rows are still held."""
+    cfg = SimConfig(n=200, p=p, s0=5, design="toeplitz", rho=0.5,
+                    theta_pattern="decaying", c=2.0, rate=0.5, seed=3)
+    run_rates(cfg, [20, 40, 60, 80], 1)  # first-call imports and caches
+    grid = [200, 400, 800, 1600]
+    _summary, peak = _peak_bytes(run_rates, cfg, grid, 1, 1.1, 1)
+    design = 8 * grid[-1] * cfg.p
+    assert peak <= 2.0 * design, f"peak {peak / design:.2f} n_max designs"
+
+
+def test_one_thread_fans_out_on_the_calling_thread():
+    caller = threading.get_ident()
+    assert _fan_out(lambda job: (job, threading.get_ident()), [0, 1, 2], 1) == [
+        (0, caller), (1, caller), (2, caller)]
+
+    raised = KeyError("job 1")
+
+    def worker(job):
+        if job == 1:
+            raise raised
+        return job
+
+    with pytest.raises(KeyError) as exc:
+        _fan_out(worker, [0, 1, 2], 1)
+    assert exc.value is raised
 
 
 def test_forward_regression_makes_no_design_sized_temporary(wide_csv):
