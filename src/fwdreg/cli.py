@@ -292,9 +292,11 @@ def run_verify(
     try:
         records = _fan_out(worker, range(replications), threads)
     except BudgetExceeded as exc:
+        # phi(phi_size) is looked up first, so a refusal at its size is that lookup
+        cut = (f"--phi-size (now {phi_size}) or p" if exc.size == min(phi_size, cfg.p)
+               else f"p or s0 ({exc.size} is a bound-check size, s_hat + s0 or m + s0)")
         raise BudgetExceeded(f"{exc}; the bound checks take exact phi_min only, so "
-                             f"verify needs a smaller --phi-size (now {phi_size}) "
-                             f"or p") from None
+                             f"verify needs a smaller {cut}", exc.size) from None
 
     all_pass = all(
         r["pred_bound_holds"] and r["count_bound_holds"]
@@ -438,13 +440,10 @@ def cmd_sparse_eig(args: argparse.Namespace) -> int:
     names, x, _y = read_csv(args.input)
     standardize(x)
     g = gram(Dataset(x=x, y=np.zeros(x.shape[0])))
-    if args.mode == "exact":
-        try:
-            rep = theory_bounds.sparse_eig_exact(g, args.s)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(f"{exc}; sparse-eig --mode sampled gives an upper "
-                                 f"bound without a budget") from None
-    else:
+    try:
+        rep = theory_bounds.sparse_eig_exact(g, args.s)
+    except BudgetExceeded:
+        # refused from C(p, k) before any work: report the upper bound instead
         rep = theory_bounds.sparse_eig_sampled(g, args.s)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -548,13 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     rates.set_defaults(func=cmd_rates)
 
     eig = sub.add_parser("sparse-eig", parents=[data, out],
-                         help="minimum sparse eigenvalue of the Gram matrix")
+                         help="minimum sparse eigenvalue of the Gram matrix; an upper "
+                              "bound when C(p, s) is over the enumeration budget")
     eig.add_argument("--s", type=int, required=True)
-    eig.add_argument("--mode", choices=("exact", "sampled"), default="exact",
-                     help="exact: enumerate every size-s subset (exact, and cheap "
-                          "when C(p, s) is small); sampled: an upper bound from "
-                          "partner groups and one exchange descent, which can sit "
-                          "above the exact value even on small Gram matrices")
     eig.set_defaults(func=cmd_sparse_eig)
 
     compare = sub.add_parser("compare", parents=[data, threshold, out],

@@ -30,7 +30,11 @@ class NotStandardized(FwdregError):
 
 
 class BudgetExceeded(FwdregError):
-    """An exhaustive enumeration would exceed its subset budget."""
+    """An exhaustive enumeration of size-``size`` subsets exceeds its budget."""
+
+    def __init__(self, message: str, size: int):
+        self.size = size
+        super().__init__(message)
 
 
 class MissingGroundTruth(FwdregError):

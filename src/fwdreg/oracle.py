@@ -105,7 +105,7 @@ def best_subset(
     if not 0 <= k <= ds.p:
         raise ValueError("need 0 <= k <= p")
     if math.comb(ds.p, k) > budget:
-        raise BudgetExceeded(f"C({ds.p}, {k}) exceeds budget {budget}")
+        raise BudgetExceeded(f"C({ds.p}, {k}) exceeds budget {budget}", k)
     if k == 0:
         return (), en_dot(ds.y, ds.y)
     best_s: tuple[int, ...] = ()

@@ -271,7 +271,7 @@ def sparse_eig_exact(
     size = _subset_size(s, p)
     total = math.comb(p, size)
     if total > budget:
-        raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}")
+        raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}", size)
 
     best = _lowest(g, _seed_split(g, _partner_groups(g, size))[0])
     if size < p:  # at size = p the one subset is range(p), the one group

@@ -22,15 +22,13 @@ from fwdreg.cli import (
     read_csv,
     run_rates,
 )
-from fwdreg.core_linalg import gram
+from fwdreg.core_linalg import Dataset, gram, standardize
+from fwdreg.errors import BudgetExceeded
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
 from helpers import child_env
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-# the fallback that sparse-eig names when an exact request is over budget
-BUDGET_HINT = "sparse-eig --mode sampled gives an upper bound without a budget"
 
 
 def write_rows(path, header, rows):
@@ -38,6 +36,13 @@ def write_rows(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def csv_gram(path):
+    """The Gram matrix that sparse-eig computes for a CSV."""
+    _names, x, _y = read_csv(str(path))
+    standardize(x)
+    return gram(Dataset(x=x, y=np.zeros(x.shape[0])))
 
 
 @pytest.fixture
@@ -386,21 +391,28 @@ def test_zero_sparse_eigenvalue_rejected(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+def refuse_exact(g, s):
+    raise BudgetExceeded("over budget", s)
+
+
 @pytest.mark.parametrize(
-    "argv, golden",
+    "argv, golden, over_budget",
     [
         (["verify", "--config", str(DATA / "golden_verify_config.json"),
-          "--replications", "3", "--threads", "1"], "golden_verify_output.json"),
+          "--replications", "3", "--threads", "1"], "golden_verify_output.json", False),
         (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3"],
-         "golden_sparse_eig_exact.json"),
-        (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
-          "--mode", "sampled"], "golden_sparse_eig_sampled.json"),
+         "golden_sparse_eig_exact.json", False),
+        (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3"],
+         "golden_sparse_eig_sampled.json", True),
     ],
     ids=["verify", "sparse-eig-exact", "sparse-eig-sampled"],
 )
-def test_report_matches_golden_file(tmp_path, argv, golden):
+def test_report_matches_golden_file(tmp_path, monkeypatch, argv, golden, over_budget):
     """Pins each report schema: a renamed, dropped or added field changes
-    the bytes."""
+    the bytes. The sampled report is the fallback of an over-budget exact
+    request, forced here on the small golden input."""
+    if over_budget:
+        monkeypatch.setattr(theory_bounds, "sparse_eig_exact", refuse_exact)
     out = tmp_path / "out.json"
     assert main([*argv, "-o", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / golden).read_bytes()
@@ -421,13 +433,16 @@ def test_rates_matches_golden_files(tmp_path, capsys):
     [["rates", "--config", str(DATA / "golden_verify_config.json"),
       "--n-grid", "100,200,400,800", "--draws", "500"],
      ["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
-      "--mode", "sampled", "--draws", "200"],
+      "--draws", "200"],
      ["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
-      "--mode", "sampled", "--seed", "5"]],
-    ids=["rates-draws", "sparse-eig-draws", "sparse-eig-seed"],
+      "--seed", "5"],
+     ["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3",
+      "--mode", "exact"]],
+    ids=["rates-draws", "sparse-eig-draws", "sparse-eig-seed", "sparse-eig-mode"],
 )
 def test_removed_sampling_flags_exit_2(tmp_path, capsys, argv):
-    # the sampled path draws no random subsets, so it takes no count or seed
+    # the sampled path draws no random subsets, so it takes no count or seed,
+    # and sparse-eig picks its path from C(p, s), so it takes no mode
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "-o", str(out)])
@@ -485,7 +500,22 @@ class TestVerifyCommand:
         assert (f"error: C(500, 8) = {math.comb(500, 8)} subsets > budget 10000000; "
                 "the bound checks take exact phi_min only, so verify needs a "
                 "smaller --phi-size (now 8) or p\n") == err
-        assert BUDGET_HINT not in err
+        assert "--mode" not in err
+        assert not out.exists()
+
+    def test_budget_guard_at_fit_size_names_p_and_s0(self, tmp_path, capsys):
+        # phi_min(1) is cheap, but the bounds are evaluated at s_hat + s0 = 6,
+        # which --phi-size does not set; C(60, 6) is refused before enumerating
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 200, "p": 60, "s0": 3, "seed": 1}))
+        out = tmp_path / "o.json"
+        code = main(["verify", "--config", str(cfg), "--replications", "1",
+                     "--phi-size", "1", "-o", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: C(60, 6) = {math.comb(60, 6)} subsets > budget 10000000; "
+            "the bound checks take exact phi_min only, so verify needs a smaller "
+            "p or s0 (6 is a bound-check size, s_hat + s0 or m + s0)\n")
         assert not out.exists()
 
     def test_zero_eigenvalue_at_fit_size(self, tmp_path, capsys):
@@ -668,8 +698,7 @@ class TestSparseEigCommand:
         write_rows(path, [f"x{j}" for j in range(5)],
                    [[float(v) for v in row] for row in raw])
         out = tmp_path / "eig.json"
-        code = main(["sparse-eig", "-i", str(path), "--s", "2",
-                     "--mode", "exact", "-o", str(out)])
+        code = main(["sparse-eig", "-i", str(path), "--s", "2", "-o", str(out)])
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert report["method"] == "exact"
@@ -677,35 +706,46 @@ class TestSparseEigCommand:
         assert len(report["witness"]) == 2
 
     def test_sampled_report(self, tmp_path):
+        # C(40, 10) = 847,660,528 subsets are over the enumeration budget, so
+        # the request falls back to the sampled upper bound and exits 0
         rng = np.random.default_rng(3)
-        path = tmp_path / "d.csv"
-        write_rows(path, [f"x{j}" for j in range(8)],
-                   rng.standard_normal((30, 8)).tolist())
+        path = tmp_path / "wide.csv"
+        write_rows(path, [f"x{j}" for j in range(40)],
+                   rng.standard_normal((60, 40)).tolist())
         outputs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            assert main(["sparse-eig", "-i", str(path), "--s", "3",
-                         "--mode", "sampled", "-o", str(out)]) == EXIT_OK
+            assert main(["sparse-eig", "-i", str(path), "--s", "10",
+                         "-o", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         report = json.loads(outputs[0])
         assert report["method"] == "sampled"
         assert report["upper_bound_only"] is True
-        assert len(report["witness"]) == 3
         assert report["witness_names"] == [f"x{j}" for j in report["witness"]]
+        sampled = theory_bounds.sparse_eig_sampled(csv_gram(path), 10)
+        assert report["value"] == sampled.value
+        assert tuple(report["witness"]) == sampled.witness
+        assert report["subsets_examined"] == sampled.subsets_examined
 
-    def test_budget_exceeded_guidance(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
-        path = tmp_path / "wide.csv"
-        raw = rng.standard_normal((40, 30))
-        write_rows(path, [f"x{j}" for j in range(30)],
-                   [[float(v) for v in row] for row in raw])
-        out = tmp_path / "o.json"
-        code = main(["sparse-eig", "-i", str(path), "--s", "12",
-                     "--mode", "exact", "-o", str(out)])
-        assert code == EXIT_INPUT
-        assert BUDGET_HINT in capsys.readouterr().err
-        assert not out.exists()
+    def test_small_gram_reports_exact_phi(self, tmp_path):
+        # on this Gram the exchange descent stops above the exact phi_min(3);
+        # C(8, 3) is within budget, so sparse-eig enumerates instead
+        rng = np.random.default_rng(33)
+        path = tmp_path / "small.csv"
+        write_rows(path, [f"x{j}" for j in range(8)],
+                   rng.standard_normal((12, 8)).tolist())
+        g = csv_gram(path)
+        exact = oracle.sparse_eig_bruteforce(g, 3)
+        assert theory_bounds.sparse_eig_sampled(g, 3).value > 1.5 * exact.value
+        out = tmp_path / "eig.json"
+        assert main(["sparse-eig", "-i", str(path), "--s", "3",
+                     "-o", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["method"] == "exact"
+        assert report["upper_bound_only"] is False
+        assert report["value"] == pytest.approx(exact.value, abs=1e-12)
+        assert tuple(report["witness"]) == exact.witness
 
 
 class TestCompare:
