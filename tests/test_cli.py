@@ -728,6 +728,35 @@ class TestSparseEigCommand:
         assert tuple(report["witness"]) == sampled.witness
         assert report["subsets_examined"] == sampled.subsets_examined
 
+    def test_budget_exceeded_guidance(self, tmp_path, capsys, monkeypatch):
+        # C(30, 12) = 86,493,225 subsets: the exact search is refused up front,
+        # and the report, not an error, tells the user the value is a bound
+        refusals = []
+        exact = theory_bounds.sparse_eig_exact
+
+        def exact_spy(g, s):
+            try:
+                return exact(g, s)
+            except BudgetExceeded as exc:
+                refusals.append(exc.size)
+                raise
+
+        monkeypatch.setattr(theory_bounds, "sparse_eig_exact", exact_spy)
+        rng = np.random.default_rng(1)
+        path = tmp_path / "wide.csv"
+        raw = rng.standard_normal((40, 30))
+        write_rows(path, [f"x{j}" for j in range(30)],
+                   [[float(v) for v in row] for row in raw])
+        out = tmp_path / "o.json"
+        code = main(["sparse-eig", "-i", str(path), "--s", "12", "-o", str(out)])
+        assert code == EXIT_OK
+        assert refusals == [12]
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["method"] == "sampled"
+        assert report["upper_bound_only"] is True
+        assert len(report["witness"]) == 12
+
     def test_small_gram_reports_exact_phi(self, tmp_path):
         # on this Gram the exchange descent stops above the exact phi_min(3);
         # C(8, 3) is within budget, so sparse-eig enumerates instead
