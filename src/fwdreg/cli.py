@@ -35,7 +35,7 @@ from .core_linalg import (
 )
 from .errors import BudgetExceeded, FwdregError, ZeroVarianceColumn
 from .forward_select import FitResult, forward_regression
-from .simulate import SimConfig, leading_rows, oracle_threshold, simulate_dataset
+from .simulate import SimConfig, nested_samples, oracle_threshold, simulate_dataset
 
 SCHEMA_VERSION = "3"
 
@@ -361,9 +361,13 @@ def run_rates(
 
     Each replication draws one dataset at the largest n, and every grid
     point fits its leading rows (common random numbers), so the largest
-    point fits the draw itself. Sparse eigenvalues for the threshold use
-    the sampled surrogate, since exact enumeration is infeasible at
-    sweep-scale p.
+    point fits the draw itself. The points are fitted largest first, each
+    on the draw's rows standardized again in place (see
+    simulate.nested_samples), so a replication holds one design and copies
+    no rows; the results come back in grid order. A fit error is raised for
+    the smallest n at which one occurs, as an ascending walk would meet it
+    first. Sparse eigenvalues for the threshold use the sampled surrogate,
+    since exact enumeration is infeasible at sweep-scale p.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -376,17 +380,23 @@ def run_rates(
     # seeded sweeps from when every grid point had a seed of its own
     base_seed = cfg.seed + 1_000_003 * (len(n_grid) - 1)
 
-    def fit(full: Dataset, n: int) -> tuple[float, int]:
-        # a grid point's rows die on return, before the next are copied
-        ds = leading_rows(full, n)
+    def fit(ds: Dataset) -> tuple[float, int]:
         phi = theory_bounds.sparse_eig_sampled(gram(ds), phi_size).value
         t = oracle_threshold(ds, phi, safety=safety)
         fr = forward_regression(ds, t)
         return fr.pred_error_norm, fr.s_hat
 
     def worker(rep: int) -> list[tuple[float, int]]:
-        full = simulate_dataset(replace(cfg, n=n_grid[-1], seed=base_seed + rep))
-        return [fit(full, n) for n in n_grid]
+        draw = replace(cfg, n=n_grid[-1], seed=base_seed + rep)
+        fits, failure = [], None
+        for ds in nested_samples(draw, n_grid):
+            try:
+                fits.append(fit(ds))
+            except FwdregError as exc:
+                failure = exc  # a smaller n's failure replaces a larger one's
+        if failure is not None:
+            raise failure
+        return fits[::-1]
 
     # results[rep][gi]
     results = _fan_out(worker, range(replications), threads)

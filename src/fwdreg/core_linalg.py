@@ -29,8 +29,10 @@ RANK_TOL = 1e-10
 # Largest column mean and second-moment deviation from 1 of a standardized design.
 STANDARDIZED_TOL = 1e-8
 
-# Columns per block of the centred temporary in column_moments.
+# Columns per block of the centred temporary in column_moments, and the
+# entries per block when a C-ordered design is taken a block of rows at a time.
 MOMENT_BLOCK = 32
+MOMENT_ROW_BLOCK_ENTRIES = 1 << 15
 
 
 def en_dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -74,11 +76,15 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and sqrt of the biased (1/n) central second moment.
 
     The second moment is bit-equal to ``((raw - mean) ** 2).mean(axis=0)``
-    in C and F order, but the centred temporary spans MOMENT_BLOCK columns
-    at a time, never the whole n x p design. No block is a single column
-    unless p = 1: numpy sums a C-ordered (n, 1) slice pairwise, while it
-    adds the rows of a wider C-ordered block, as of the whole design, in
-    order.
+    in C and F order, but the centred temporary is one block, never the
+    whole n x p design. numpy adds the rows of a C-ordered matrix in order,
+    so a C-contiguous design is centred in blocks of rows of about
+    MOMENT_ROW_BLOCK_ENTRIES entries, each with a first row that carries
+    the running column sums of the rows before it; every step then runs
+    over whole rows. Any other layout is centred MOMENT_BLOCK columns at a
+    time, and no block is a single column unless p = 1: numpy sums a
+    C-ordered (n, 1) slice pairwise, while it adds the rows of a wider
+    block in order.
 
     Raises ValueError unless ``raw`` is a 2-d matrix with at least two
     rows, and ZeroVarianceColumn for a constant column (scale within
@@ -91,16 +97,29 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if raw.shape[0] < 2:
         raise ValueError("standardization needs at least two observations")
     mean = raw.mean(axis=0)
-    p = raw.shape[1]
-    starts = list(range(0, p, MOMENT_BLOCK))
-    if len(starts) > 1 and p - starts[-1] == 1:
-        starts.pop()  # the last block takes the one-column tail
-    second = np.empty(p)
-    for lo, hi in zip(starts, starts[1:] + [p]):
-        dev = raw[:, lo:hi] - mean[lo:hi]
-        np.square(dev, out=dev)
-        second[lo:hi] = dev.mean(axis=0)
-        del dev  # before the next block is allocated
+    n, p = raw.shape
+    if raw.flags.c_contiguous and p > 1:
+        rows = max(1, MOMENT_ROW_BLOCK_ENTRIES // p)
+        block = np.empty((min(rows, n) + 1, p))
+        total = np.zeros(p)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            part = block[: hi - lo + 1]
+            part[0] = total
+            np.subtract(raw[lo:hi], mean, out=part[1:])
+            np.square(part[1:], out=part[1:])
+            np.add.reduce(part, axis=0, out=total)
+        second = total / n
+    else:
+        starts = list(range(0, p, MOMENT_BLOCK))
+        if len(starts) > 1 and p - starts[-1] == 1:
+            starts.pop()  # the last block takes the one-column tail
+        second = np.empty(p)
+        for lo, hi in zip(starts, starts[1:] + [p]):
+            dev = raw[:, lo:hi] - mean[lo:hi]
+            np.square(dev, out=dev)
+            second[lo:hi] = dev.mean(axis=0)
+            del dev  # before the next block is allocated
     scale = np.sqrt(second)
     bad = np.flatnonzero(scale <= 1e-13 * (np.abs(mean) + 1.0))
     if bad.size:

@@ -238,10 +238,10 @@ def _design_cholesky(cfg: SimConfig) -> np.ndarray | None:
 
 
 def leading_rows_plain(cfg: SimConfig, n: int) -> Dataset:
-    """simulate.leading_rows(simulate_dataset(cfg), n) without the detour
-    through the full standardized design: redraw cfg.n raw rows on the same
-    RNG stream, then standardize the first n of them on their own in
-    extended precision."""
+    """The dataset simulate.nested_samples(cfg, sizes) yields at n, without
+    the detour through the larger grid points' standardized rows: redraw
+    cfg.n raw rows on the same RNG stream, then standardize the first n of
+    them on their own in extended precision."""
     rng = np.random.default_rng(cfg.seed)
     raw = rng.standard_normal((cfg.n, cfg.p))
     chol = _design_cholesky(cfg)

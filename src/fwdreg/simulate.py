@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core_linalg import Dataset, standardize
-from .errors import MissingGroundTruth, NonpositiveEigenvalue
+from .errors import NonpositiveEigenvalue
 from .theory_bounds import noise_covariate_sup
 
 DESIGNS = ("independent", "equicorrelated", "toeplitz")
@@ -134,27 +135,34 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
     return Dataset(x=x, y=y, theta0=theta0, epsilon=epsilon)
 
 
-def leading_rows(ds: Dataset, n: int) -> Dataset:
-    """The first ``n`` observations of a simulated dataset, standardized on
-    their own; ``leading_rows(ds, ds.n)`` is ``ds`` itself.
+def nested_samples(cfg: SimConfig, sizes: Sequence[int]) -> Iterator[Dataset]:
+    """Draw ``simulate_dataset(cfg)`` and yield, for each n in ``sizes``
+    from the largest down, its first n observations standardized on their
+    own; the model is the one a plain simulation of the first n raw rows
+    would store (to rounding), and y = X theta0 + epsilon holds exactly as
+    stored. An n equal to cfg.n yields the draw itself.
 
-    The copied rows of the standardized design are standardized again in
-    place. Their scale re-expresses theta0, so the model is the one a plain
-    simulation of the first n raw rows would store (to rounding), and
-    y = X theta0 + epsilon holds exactly as stored.
+    Every smaller n standardizes the leading rows of the one design in
+    place, through the view ``x[:n]``, and the scale it removes carries
+    theta0 forward, so no rows are copied. A yielded dataset is therefore
+    valid only until the next one is asked for.
     """
-    if ds.theta0 is None:
-        raise MissingGroundTruth("leading rows need theta0 and epsilon")
-    if not 2 <= n <= ds.n:
-        raise ValueError(f"need 2 <= n <= {ds.n} leading rows, got {n}")
-    if n == ds.n:
-        return ds
-    x = ds.x[:n].copy()
-    _mean, scale = standardize(x)
-    theta0 = ds.theta0 * scale
-    epsilon = ds.epsilon[:n].copy()
-    y = x @ theta0 + epsilon
-    return Dataset(x=x, y=y, theta0=theta0, epsilon=epsilon)
+    sizes = list(sizes)
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must be nonempty and increasing, got {sizes}")
+    for n in (sizes[0], sizes[-1]):
+        if not 2 <= n <= cfg.n:
+            raise ValueError(f"need 2 <= n <= {cfg.n} leading rows, got {n}")
+    ds = simulate_dataset(cfg)
+    x, theta0, epsilon = ds.x, ds.theta0, ds.epsilon
+    for n in reversed(sizes):
+        if n < x.shape[0]:
+            x = x[:n]
+            _mean, scale = standardize(x)
+            theta0 *= scale
+            ds = Dataset(x=x, y=x @ theta0 + epsilon[:n], theta0=theta0,
+                         epsilon=epsilon[:n])
+        yield ds
 
 
 def oracle_threshold(ds: Dataset, phi: float, safety: float = 1.0) -> float:

@@ -99,6 +99,11 @@ def _lowest(g: np.ndarray, idx: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return low, tuple(int(j) for j in tied[np.lexsort(tied.T[::-1])[0]])
 
 
+def _abs_max(g: np.ndarray) -> float:
+    """The largest |g_ij|, without a p x p temporary for |G|."""
+    return float(max(g.max(), -g.min()))
+
+
 def _subset_size(s: int, p: int) -> int:
     """k = min(s, p): by Cauchy interlacing, deleting rows/columns of a
     principal submatrix can only raise its smallest eigenvalue."""
@@ -119,13 +124,17 @@ def _screen_level(best: float, size: int, gmax: float) -> float:
 
 def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of ``keys``,
-    ascending within the row; ties go to the lower index. One
-    np.partition finds each row's k-th smallest value v, and a mask keeps
+    ascending within the row; ties go to the lower index. np.partition
+    finds each row's k-th smallest value v, on at most _CHUNK / 2 entries
+    at a time, so no partitioned copy of ``keys`` is held. A mask keeps
     the entries <= v in place, so flatnonzero returns every row sorted.
     Every row keeps at least k entries; a row with more (a tie at v) keeps
     only the first of those equal to v."""
     rows, p = keys.shape
-    kth = np.partition(keys, k - 1, axis=1)[:, k - 1, None]
+    kth = np.empty((rows, 1))
+    step = max(1, _CHUNK // (2 * p))
+    for lo in range(0, rows, step):
+        kth[lo : lo + step, 0] = np.partition(keys[lo : lo + step], k - 1, axis=1)[:, k - 1]
     keep = keys <= kth
     if np.count_nonzero(keep) > rows * k:
         over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
@@ -144,7 +153,8 @@ def _partner_groups(g: np.ndarray, size: int) -> np.ndarray:
     p = g.shape[0]
     if size == p:
         return np.arange(p, dtype=np.intp)[None, :]
-    keys = -np.abs(g)
+    keys = np.abs(g)
+    np.negative(keys, out=keys)
     np.fill_diagonal(keys, -np.inf)
     return _smallest(keys, size)
 
@@ -157,7 +167,8 @@ def _seed_split(g: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarr
     most of the rest; the choice changes only the work, not the result."""
     if groups.shape[0] <= _SEED_GROUPS:
         return groups, groups[:0]
-    weight = np.abs(g)[groups[:, :, None], groups[:, None, :]].sum(axis=(1, 2))
+    block = g[groups[:, :, None], groups[:, None, :]]
+    weight = np.abs(block, out=block).sum(axis=(1, 2))
     pick = _smallest(-weight[None, :], _SEED_GROUPS)[0]
     rest = np.ones(groups.shape[0], dtype=bool)
     rest[pick] = False
@@ -214,10 +225,12 @@ def _search(
     Schur complements on r0..p-1, and one more runs the LDL' of the tail
     blocks over the (tail, prefix) pairs in pieces of at most _CHUNK
     pairs; a prefix batch holds no more entries than a piece's _CHUNK
-    tail blocks. Survivors get the eigvalsh call of a plain enumeration, so
-    the result is that of solving every subset."""
+    tail blocks. The one empty prefix has no Schur complement, so its tail
+    blocks are gathered from g itself and c is taken off their diagonals.
+    Survivors get the eigvalsh call of a plain enumeration, so the result
+    is that of solving every subset."""
     p = g.shape[0]
-    gmax = float(np.max(np.abs(g)))
+    gmax = _abs_max(g)
     for heads, tails in blocks:
         q, m = heads.shape[1], tails.shape[1]
         r0 = int(heads[0, -1]) + 1 if q else 0
@@ -228,20 +241,30 @@ def _search(
         for lo in range(0, heads.shape[0], per_batch):
             batch = heads[lo : lo + per_batch].astype(np.intp)
             width = batch.shape[0]
-            a = np.empty((span, span, width))
-            a[:q, :q] = g[batch.T[:, None, :], batch.T]
-            a[:q, q:] = g[batch.T[:, None, :], tail_rows[:, None]]
-            a[q:, :q] = g[tail_rows[:, None, None], batch.T]
-            a[q:, q:] = g[r0:, r0:, None]
-            a[diag, diag] -= _screen_level(best[0], size, gmax)
-            heads_ok = _eliminate(a, q)
-            entries = a.reshape(span * span, width)
+            level = _screen_level(best[0], size, gmax)
+            if q:
+                a = np.empty((span, span, width))
+                a[:q, :q] = g[batch.T[:, None, :], batch.T]
+                a[:q, q:] = g[batch.T[:, None, :], tail_rows[:, None]]
+                a[q:, :q] = g[tail_rows[:, None, None], batch.T]
+                a[q:, q:] = g[r0:, r0:, None]
+                a[diag, diag] -= level
+                heads_ok = _eliminate(a, q)
+                entries = a.reshape(span * span, width)
+            else:
+                heads_ok = np.ones(1, dtype=bool)
             per_piece = max(1, _CHUNK // width)
             for t0 in range(0, tails.shape[0], per_piece):
                 # one tail per column, so every gathered block is contiguous
                 piece = tails[t0 : t0 + per_piece].T.astype(np.intp, order="C")
-                at = piece + q
-                ok = _eliminate(entries[at[:, None, :] * span + at].reshape(m, m, -1), m)
+                if q:
+                    at = piece + q
+                    sub = entries[at[:, None, :] * span + at].reshape(m, m, -1)
+                else:
+                    sub = g[piece[:, None, :], piece]
+                    sub[diag[:m], diag[:m]] -= level
+                ok = _eliminate(sub, m)
+                del sub  # before the next piece is gathered
                 t, b = np.nonzero(~(ok.reshape(-1, width) & heads_ok))
                 if t.size:
                     idx = np.hstack([batch[b], piece[:, t].T + r0])
@@ -316,7 +339,7 @@ def _descend(
     lowers lambda by at least that margin, no subset comes back and the
     descent ends. The value of a witness the descent leaves unchanged is
     the one it came with."""
-    gmax = float(np.max(np.abs(g)))
+    gmax = _abs_max(g)
     diag = np.diagonal(g)
     s = np.array(best[1], dtype=np.intp)
     lams, vecs = np.linalg.eigh(g[s][:, s])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fwdreg import cli, oracle, theory_bounds
+from fwdreg import simulate as simulate_module
 from fwdreg.cli import (
     EXIT_BOUND_FAILURE,
     EXIT_DEGENERATE,
@@ -683,7 +684,7 @@ class TestRates:
             simulated.append((cfg.n, cfg.seed))
             return simulate_dataset(cfg)
 
-        monkeypatch.setattr(cli, "simulate_dataset", simulate)
+        monkeypatch.setattr(simulate_module, "simulate_dataset", simulate)
         cfg = SimConfig(n=50, p=10, s0=2, noise_sd=1.0, seed=5)
         run_rates(cfg, [50, 100, 200, 400], replications=3, threads=2)
         last = 5 + 1_000_003 * 3

@@ -3,6 +3,7 @@ import pytest
 
 from fwdreg.core_linalg import (
     MOMENT_BLOCK,
+    MOMENT_ROW_BLOCK_ENTRIES,
     Dataset,
     _residualize,
     column_moments,
@@ -71,6 +72,8 @@ class TestStandardize:
         (2, 1), (2, 5), (37, 1), (37, 2), (37, MOMENT_BLOCK - 1), (37, MOMENT_BLOCK),
         (37, MOMENT_BLOCK + 1),  # would end on a one-column block
         (37, 2 * MOMENT_BLOCK + 1), (37, 2 * MOMENT_BLOCK + 2), (300, 3 * MOMENT_BLOCK + 7),
+        # several blocks of rows in C order, the last of one row
+        (2000, MOMENT_BLOCK + 1), (MOMENT_ROW_BLOCK_ENTRIES // 32 + 1, 64),
     ])
     def test_blocked_moments_match_two_pass_reference(self, order, n, p):
         """The blocked second moment is bit-equal to centring the whole

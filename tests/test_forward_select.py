@@ -164,6 +164,16 @@ def test_strict_threshold_stopping():
         assert np.all(finite <= t)
 
 
+def test_gain_equal_to_threshold_is_not_selected():
+    """Stopping is strict at equality: with t set to the first gain a fit
+    records, the same leader and gain come up and the loop stops at once."""
+    ds = random_standardized_dataset(np.random.default_rng(12), 60, 15, s0=3)
+    first = forward_regression(ds, 0.05).trace.steps[0].gain
+    fr = forward_regression(ds, first)
+    assert fr.s_hat == 0
+    assert fr.support == ()
+
+
 def test_greedy_dominance():
     rng = np.random.default_rng(13)
     ds = random_standardized_dataset(rng, 50, 10, s0=3)

@@ -1,15 +1,19 @@
-"""Memory of the CSV data path, of simulation and of the selection loop,
-measured with tracemalloc (numpy reports its array buffers to it).
+"""Memory of the CSV data path, of simulation, of the sampled sparse
+eigenvalue and of the selection loop, measured with tracemalloc (numpy
+reports its array buffers to it).
 
 The parsed n x (p+1) table is the unit for reading: streaming the rows
 into the parser and standardizing the design in place keep the peak near
 two tables (the table and the design split off it). Column moments hold
-one block of columns at a time, and a simulated draw is correlated and
-standardized in place, so it holds one design. A `rates` replication
-holds its draw and the current grid point's rows. The selection loop
-allocates vectors of length n or p and n x k bases, never a design-sized
-temporary. One job thread is the calling thread, so it starts no worker
-thread (nor the heap a new thread's allocations get)."""
+one block of rows or columns at a time, and a simulated draw is
+correlated and standardized in place, so it holds one design. A `rates`
+replication fits its grid points largest first, each on the draw's
+leading rows standardized again in place, so it holds one design and
+copies no rows. The sampled sparse eigenvalue holds about one p x p key
+array beyond the Gram matrix. The selection loop allocates vectors of
+length n or p and n x k bases, never a design-sized temporary. One job
+thread is the calling thread, so it starts no worker thread (nor the
+heap a new thread's allocations get)."""
 
 import threading
 import tracemalloc
@@ -18,9 +22,10 @@ import numpy as np
 import pytest
 
 from fwdreg.cli import _fan_out, read_dataset, run_rates
-from fwdreg.core_linalg import column_moments
+from fwdreg.core_linalg import column_moments, gram
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, simulate_dataset
+from fwdreg.theory_bounds import sparse_eig_sampled
 
 N, P = 400, 250
 
@@ -76,17 +81,29 @@ def test_simulate_dataset_peak_is_near_one_design(design):
 
 @pytest.mark.parametrize("p", [100, 200])
 def test_rates_replication_holds_its_draw_and_one_grid_point(p):
-    """The rates_sweep benchmark's config (p = 200) and a narrower one. At
-    p = 200 the sampled eigenvalue's p x p temporaries set the peak; at
-    p = 100 the copy of the next grid point's rows does, so this fails if
-    the last point's rows are still held."""
+    """The rates_sweep benchmark's config (p = 200) and a narrower one. A
+    replication holds its one design: this fails if any grid point's rows
+    are copied (1.89 and 1.95 n_max designs when each point was a copy),
+    or if the sampled eigenvalue's p x p temporaries grow back at p = 200."""
     cfg = SimConfig(n=200, p=p, s0=5, design="toeplitz", rho=0.5,
                     theta_pattern="decaying", c=2.0, rate=0.5, seed=3)
     run_rates(cfg, [20, 40, 60, 80], 1)  # first-call imports and caches
     grid = [200, 400, 800, 1600]
     _summary, peak = _peak_bytes(run_rates, cfg, grid, 1, 1.1, 1)
     design = 8 * grid[-1] * cfg.p
-    assert peak <= 2.0 * design, f"peak {peak / design:.2f} n_max designs"
+    assert peak <= 1.4 * design, f"peak {peak / design:.2f} n_max designs"
+
+
+def test_sampled_sparse_eig_holds_one_key_array():
+    """The partner groups' |G| keys are the one p x p array the sampled
+    eigenvalue holds: no |G| temporary, partitioned copy of the keys or
+    copy of G for the screen (2.48 p x p when it made them)."""
+    cfg = SimConfig(n=800, p=200, s0=5, design="toeplitz", rho=0.5,
+                    theta_pattern="decaying", c=2.0, rate=0.5, seed=3)
+    g = gram(simulate_dataset(cfg))
+    sparse_eig_sampled(g, 10)  # first-call imports and caches
+    _report, peak = _peak_bytes(sparse_eig_sampled, g, 10)
+    assert peak <= 1.5 * g.nbytes, f"peak {peak / g.nbytes:.2f} p x p"
 
 
 def test_one_thread_fans_out_on_the_calling_thread():

@@ -15,7 +15,7 @@ from fwdreg.oracle import leading_rows_plain
 from fwdreg.simulate import (
     THRESHOLD_FLOOR,
     SimConfig,
-    leading_rows,
+    nested_samples,
     oracle_threshold,
     simulate_dataset,
 )
@@ -195,6 +195,9 @@ def test_output_does_not_depend_on_blas_thread_count():
 
 
 class TestLeadingRows:
+    """simulate.nested_samples: the draw's leading rows, standardized in
+    place on each grid point from the largest down."""
+
     CONFIGS = [
         SimConfig(n=400, p=30, s0=4, theta_pattern="decaying", seed=11),
         SimConfig(n=400, p=30, s0=4, design="toeplitz", rho=0.5,
@@ -202,11 +205,16 @@ class TestLeadingRows:
         SimConfig(n=300, p=50, s0=3, design="equicorrelated", rho=0.3,
                   noise_sd=0.0, seed=13),
     ]
+    GRID = (3, 60, 200, 299)
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=[c.design for c in CONFIGS])
-    @pytest.mark.parametrize("n", [3, 60, 200, 299])
+    @pytest.mark.parametrize("n", GRID)
     def test_agrees_with_plain_twin(self, cfg, n):
-        got = leading_rows(simulate_dataset(cfg), n)
+        # n is reached through every larger grid point, each standardized
+        # again on the rows of the one before
+        sizes = [m for m in self.GRID if m >= n] + [cfg.n]
+        *_larger, got = nested_samples(cfg, sizes)
+        assert got.n == n
         want = leading_rows_plain(cfg, n)
         for name in ("x", "y", "theta0", "epsilon"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name),
@@ -214,37 +222,50 @@ class TestLeadingRows:
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=[c.design for c in CONFIGS])
     def test_postconditions(self, cfg):
-        ds = simulate_dataset(cfg)
-        for n in (2, 37, 150, cfg.n - 1):
-            head = leading_rows(ds, n)
+        full = simulate_dataset(cfg)
+        sizes = [2, 37, 150, cfg.n - 1]
+        walked = []
+        for head in nested_samples(cfg, sizes):
+            n = head.n
+            walked.append(n)
             assert head.x.shape == (n, cfg.p)
+            assert head.x.flags.c_contiguous
             assert is_standardized(head.x)
             assert np.array_equal(head.y, head.x @ head.theta0 + head.epsilon)
-            assert np.array_equal(head.epsilon, ds.epsilon[:n])
+            assert np.array_equal(head.epsilon, full.epsilon[:n])
             assert np.array_equal(np.flatnonzero(head.theta0),
-                                  np.flatnonzero(ds.theta0))
+                                  np.flatnonzero(full.theta0))
+        assert walked == sizes[::-1]
 
     def test_all_rows_is_the_dataset(self):
-        ds = simulate_dataset(self.CONFIGS[0])
-        assert leading_rows(ds, ds.n) is ds
+        cfg = self.CONFIGS[0]
+        first = next(nested_samples(cfg, [100, cfg.n]))
+        full = simulate_dataset(cfg)
+        for name in ("x", "y", "theta0", "epsilon"):
+            assert np.array_equal(getattr(first, name), getattr(full, name)), name
 
     def test_leaves_the_dataset_untouched(self):
-        ds = simulate_dataset(self.CONFIGS[1])
-        before = {name: getattr(ds, name).copy() for name in ("x", "y", "theta0", "epsilon")}
-        leading_rows(ds, 100)
-        for name, value in before.items():
-            assert np.array_equal(getattr(ds, name), value)
+        """Only the leading rows are rewritten: the rows beyond a grid
+        point keep the values of the draw."""
+        cfg = self.CONFIGS[1]
+        walk = nested_samples(cfg, [100, cfg.n])
+        full = next(walk)
+        tail = full.x[100:].copy()
+        head = next(walk)
+        assert np.shares_memory(head.x, full.x)
+        assert np.array_equal(full.x[100:], tail)
 
     @pytest.mark.parametrize("n", [1, 0, -5, 401])
     def test_rejects_row_count_out_of_range(self, n):
-        ds = simulate_dataset(self.CONFIGS[0])
+        cfg = self.CONFIGS[0]
+        sizes = [n] if n > cfg.n else [n, cfg.n]
         with pytest.raises(ValueError, match=f"need 2 <= n <= 400 leading rows, got {n}"):
-            leading_rows(ds, n)
+            next(nested_samples(cfg, sizes))
 
-    def test_requires_ground_truth(self):
-        ds = simulate_dataset(self.CONFIGS[0])
-        with pytest.raises(MissingGroundTruth):
-            leading_rows(Dataset(x=ds.x, y=ds.y), 100)
+    @pytest.mark.parametrize("sizes", [[], [200, 100], [100, 100]])
+    def test_rejects_sizes_out_of_order(self, sizes):
+        with pytest.raises(ValueError, match="sizes must be nonempty and increasing"):
+            next(nested_samples(self.CONFIGS[0], sizes))
 
 
 class TestOracleThreshold:

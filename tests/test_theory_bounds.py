@@ -16,7 +16,7 @@ from fwdreg.errors import (
 )
 from fwdreg.forward_select import forward_regression
 from fwdreg.oracle import sparse_eig_bruteforce, sparse_eig_sampled_plain
-from fwdreg.simulate import SimConfig, leading_rows, oracle_threshold, simulate_dataset
+from fwdreg.simulate import SimConfig, nested_samples, oracle_threshold, simulate_dataset
 from fwdreg.theory_bounds import (
     constant_c1,
     constant_c2,
@@ -407,8 +407,7 @@ class TestSparseEigSampled:
         cfg = SimConfig(n=1600, p=200, s0=5, design="toeplitz", rho=0.5,
                         theta_pattern="decaying", c=2.0, rate=0.5, noise_sd=1.0,
                         seed=3 + 3 * 1_000_003)
-        full = simulate_dataset(cfg)
-        grams = [gram(leading_rows(full, n)) for n in (200, 400, 800, 1600)]
+        grams = [gram(ds) for ds in nested_samples(cfg, (200, 400, 800, 1600))][::-1]
         groups = [theory_bounds._lowest(g, theory_bounds._partner_groups(g, 10))[0]
                   for g in grams]
         rows = []
