@@ -70,7 +70,21 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     Rows stream into the parser, so the text is never held whole, and the
     returned arrays share no memory with the parsed table, which is freed
     on return.
+
+    A regular file with at least 2 * parallel_csv.PARSE_CHUNK_BYTES of
+    data rows is parsed in parallel on a Linux-like system (fork,
+    memfd_create and sched_getaffinity) with more than one usable CPU,
+    when no other Python thread runs: forked children, at most one per
+    CPU, each parse a run of whole lines into a memory file while this
+    process parses the first run, and the design is assembled one run at
+    a time. The result is byte-identical to the serial parse. Any failure
+    in a run (a bad, non-finite or ragged cell, a dead child) discards the
+    runs and parses the file serially, so errors and their file lines
+    come from the serial parse.
     """
+    # imported here, so that commands that read no CSV do not load it
+    from .parallel_csv import LOADTXT_ARGS, parse_in_parallel
+
     blanks: list[int] = []  # file lines of the skipped blank lines
 
     def file_line(row: int) -> int:
@@ -83,8 +97,9 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
         return line
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
 
@@ -106,9 +121,13 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
         dupes = [h for h, count in Counter(header).items() if count > 1]
         if dupes:
             raise ValueError(f"{path}: duplicate column name {dupes[0]!r}")
+        names = [h for h in header if h != "y"]
+        yi = header.index("y") if "y" in header else None
+        parsed = parse_in_parallel(path, fh.fileno(), reader.line_num, len(header), yi)
+        if parsed is not None:
+            return (names, *parsed)
         try:
-            data = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                              quotechar='"', comments=None, ndmin=2)
+            data = np.loadtxt(itertools.chain([first], lines), **LOADTXT_ARGS)
         except ValueError as exc:
             # loadtxt numbers the rows it was given: 0-based in "at row R,
             # column C" (a bad cell), 1-based in "at row R;" (a ragged row)
@@ -128,14 +147,13 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
         raise ValueError(f"{path}: non-finite value in column {header[col]!r} "
                          f"on line {file_line(row)}")
     del finite  # free the table-sized mask before the design is copied out
-    if "y" in header:
-        yi = header.index("y")
-        cols = [i for i in range(len(header)) if i != yi]
-        # data[:, cols] is an F-ordered copy, the layout whose column
-        # reductions the reports' last digits depend on; y is copied too,
-        # so neither keeps the table alive
-        return [header[i] for i in cols], data[:, cols], data[:, yi].copy()
-    return header, data, None
+    if yi is None:
+        return names, data, None
+    cols = [i for i in range(len(header)) if i != yi]
+    # data[:, cols] is an F-ordered copy, the layout whose column
+    # reductions the reports' last digits depend on; y is copied too,
+    # so neither keeps the table alive
+    return names, data[:, cols], data[:, yi].copy()
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:

@@ -12,6 +12,9 @@ class ZeroVarianceColumn(FwdregError):
         self.column = column
         super().__init__(f"column {column} has zero sample variance")
 
+    def __reduce__(self):
+        return type(self), (self.column,)
+
 
 class RankDeficientSupport(FwdregError):
     """The selected columns are numerically collinear."""
@@ -24,6 +27,9 @@ class CollinearCandidate(FwdregError):
         self.column = column
         super().__init__(f"column {column} is collinear with the current support")
 
+    def __reduce__(self):
+        return type(self), (self.column,)
+
 
 class NotStandardized(FwdregError):
     """The design matrix does not have centered, unit-second-moment columns."""
@@ -35,6 +41,9 @@ class BudgetExceeded(FwdregError):
     def __init__(self, message: str, size: int):
         self.size = size
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.size)
 
 
 class MissingGroundTruth(FwdregError):

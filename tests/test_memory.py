@@ -4,7 +4,8 @@ reports its array buffers to it).
 
 The parsed n x (p+1) table is the unit for reading: streaming the rows
 into the parser and standardizing the design in place keep the peak near
-two tables (the table and the design split off it). Column moments hold
+two tables (the table and the design split off it); a parallel parse
+holds the design and two chunks of the table at most. Column moments hold
 one block of rows or columns at a time, and a simulated draw is
 correlated and standardized in place, so it holds one design. A `rates`
 replication fits its grid points largest first, each on the draw's
@@ -15,12 +16,14 @@ length n or p and n x k bases, never a design-sized temporary. One job
 thread is the calling thread, so it starts no worker thread (nor the
 heap a new thread's allocations get)."""
 
+import os
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fwdreg import parallel_csv
 from fwdreg.cli import _fan_out, read_dataset, run_rates
 from fwdreg.core_linalg import column_moments, gram
 from fwdreg.forward_select import forward_regression
@@ -56,11 +59,29 @@ def _peak_bytes(fn, *args):
             tracemalloc.stop()
 
 
-def test_read_dataset_peak_is_near_two_tables(wide_csv):
-    (_names, ds, *_moments), peak = _peak_bytes(read_dataset, wide_csv)
+def _assert_read_peak_is_near_two_tables(path):
+    (_names, ds, *_moments), peak = _peak_bytes(read_dataset, path)
     assert ds.x.shape == (N, P)
     table = 8 * N * (P + 1)
     assert peak <= 2.5 * table, f"peak {peak / table:.2f} tables"
+
+
+def test_read_dataset_peak_is_near_two_tables(wide_csv, monkeypatch):
+    monkeypatch.setattr(parallel_csv, "PARSE_CHUNK_BYTES", 1 << 62)  # the serial parse
+    _assert_read_peak_is_near_two_tables(wide_csv)
+
+
+def test_parallel_read_dataset_peak_is_near_two_tables(wide_csv, monkeypatch):
+    """The parallel parse allocates the design and its own chunk; the
+    child's chunk (one here, over two CPUs) is copied in from a mapped
+    memory file, which tracemalloc does not see."""
+    monkeypatch.setattr(parallel_csv, "PARSE_CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    _assert_read_peak_is_near_two_tables(wide_csv)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
