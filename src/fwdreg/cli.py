@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from . import oracle, theory_bounds
+from . import theory_bounds
 from .core_linalg import (
     Dataset,
     gram,
@@ -65,11 +65,11 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     ValueError for an empty file, a file without data rows, an empty or
     duplicate column name, a non-numeric or non-finite cell, or a row whose
     width differs from the header or from the rows before it. Row errors
-    name the file line, the header being line 1.
+    name the file line, counting every line the header spans.
 
-    Rows stream into the parser, so the text is never held whole, and the
-    returned arrays share no memory with the parsed table, which is freed
-    on return.
+    Rows stream into the parser, so the text is never held whole. With a
+    "y" column the returned arrays are copies and the parsed table is
+    freed on return; without one the design is the table itself.
 
     A regular file with at least 2 * parallel_csv.PARSE_CHUNK_BYTES of
     data rows is parsed in parallel on a Linux-like system (fork,
@@ -83,18 +83,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     come from the serial parse.
     """
     # imported here, so that commands that read no CSV do not load it
-    from .parallel_csv import LOADTXT_ARGS, parse_in_parallel
-
-    blanks: list[int] = []  # file lines of the skipped blank lines
-
-    def file_line(row: int) -> int:
-        """File line of 0-based data row ``row``."""
-        line = row + 2
-        for blank in blanks:
-            if blank > line:
-                break
-            line += 1
-        return line
+    from .parallel_csv import LOADTXT_ARGS, design_and_y, parse_in_parallel
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -102,9 +91,20 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        start = reader.line_num + 1  # the header may span several lines
+        blanks: list[int] = []  # file lines of the skipped blank lines
+
+        def file_line(row: int) -> int:
+            """File line of 0-based data row ``row``."""
+            line = row + start
+            for blank in blanks:
+                if blank > line:
+                    break
+                line += 1
+            return line
 
         def data_lines():
-            for num, line in enumerate(fh, 2):
+            for num, line in enumerate(fh, start):
                 if line.isspace():
                     blanks.append(num)
                 else:
@@ -147,13 +147,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
         raise ValueError(f"{path}: non-finite value in column {header[col]!r} "
                          f"on line {file_line(row)}")
     del finite  # free the table-sized mask before the design is copied out
-    if yi is None:
-        return names, data, None
-    cols = [i for i in range(len(header)) if i != yi]
-    # data[:, cols] is an F-ordered copy, the layout whose column
-    # reductions the reports' last digits depend on; y is copied too,
-    # so neither keeps the table alive
-    return names, data[:, cols], data[:, yi].copy()
+    return (names, *design_and_y([data], yi))
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
@@ -233,7 +227,7 @@ def default_phi_size(cfg: SimConfig) -> int:
 def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
     rep_cfg = replace(cfg, seed=cfg.seed + rep)
     ds = simulate_dataset(rep_cfg)
-    g = gram(ds)
+    g = gram(ds.x)
     eig = theory_bounds.exact_eig_source(g)
     phi = eig(phi_size).value
     t = oracle_threshold(ds, phi, safety=safety)
@@ -399,7 +393,7 @@ def run_rates(
     base_seed = cfg.seed + 1_000_003 * (len(n_grid) - 1)
 
     def fit(ds: Dataset) -> tuple[float, int]:
-        phi = theory_bounds.sparse_eig_sampled(gram(ds), phi_size).value
+        phi = theory_bounds.sparse_eig_sampled(gram(ds.x), phi_size).value
         t = oracle_threshold(ds, phi, safety=safety)
         fr = forward_regression(ds, t)
         return fr.pred_error_norm, fr.s_hat
@@ -466,8 +460,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 def cmd_sparse_eig(args: argparse.Namespace) -> int:
     names, x, _y = read_csv(args.input)
+    if not names:  # a lone "y" column
+        raise ValueError("need at least one observation and one covariate")
     standardize(x)
-    g = gram(Dataset(x=x, y=np.zeros(x.shape[0])))
+    g = gram(x)
     try:
         rep = theory_bounds.sparse_eig_exact(g, args.s)
     except BudgetExceeded:
@@ -495,6 +491,7 @@ def compare_csv(path: str, t: float, k: Optional[int] = None) -> dict:
     is the best size-k subset. k must lie in 0..s_hat, the sizes the
     greedy side has; this is checked before the exhaustive search.
     """
+    from . import oracle  # imported here, so that the other commands do not load it
     names, ds, *_moments = read_dataset(path)
     fr = forward_regression(ds, t)
     k = fr.s_hat if k is None else int(k)

@@ -154,9 +154,9 @@ def is_standardized(x: np.ndarray) -> bool:
     )
 
 
-def gram(ds: Dataset) -> np.ndarray:
-    """Empirical Gram matrix (1/n) X'X of the design."""
-    g = ds.x.T @ ds.x / ds.n
+def gram(x: np.ndarray) -> np.ndarray:
+    """Empirical Gram matrix (1/n) X'X of the n x p design ``x``."""
+    g = x.T @ x / x.shape[0]
     # enforce exact symmetry against accumulation order
     return (g + g.T) / 2.0
 

@@ -37,6 +37,31 @@ LOADTXT_ARGS = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
+def design_and_y(tables: list[np.ndarray],
+                 yi: Optional[int]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """read_csv's (design, y) from its parsed data rows, ``tables`` in row
+    order, each dropped from the list once copied: y is column ``yi``, the
+    design the others, F-ordered, the layout whose column reductions the
+    reports' last digits depend on. Without ``yi`` the design is a lone
+    table itself, or the tables joined in C order."""
+    if yi is None and len(tables) == 1:
+        return tables.pop(), None
+    n, width = sum(map(len, tables)), tables[0].shape[1]
+    x = np.empty((n, width)) if yi is None else np.empty((n, width - 1), order="F")
+    y = None if yi is None else np.empty(n)
+    row = 0
+    while tables:
+        table = tables.pop(0)
+        rows = slice(row, row := row + len(table))
+        if yi is None:
+            x[rows] = table
+        else:
+            x[rows, :yi] = table[:, :yi]
+            x[rows, yi:] = table[:, yi + 1:]
+            y[rows] = table[:, yi]
+    return x, y
+
+
 def _line_start(raw: BinaryIO, pos: int) -> int:
     """The first line start after byte ``pos`` of ``raw``, or the file
     size if no line starts there."""
@@ -161,46 +186,21 @@ def parse_in_parallel(path: str, fd: int, header_lines: int, width: int,
                     finally:
                         os._exit(code)
                 children.append(pid)
-        first = _parse_chunk(path, bounds[0], bounds[1], width)
-        if first is None:
+        tables = [_parse_chunk(path, bounds[0], bounds[1], width)]
+        if tables[0] is None:
             return None
         while children:
             _pid, status = os.waitpid(children[0], 0)
             children.pop(0)
             if status != 0:
                 return None
-        counts = [len(first)]  # rows per chunk
         for f in files:
             count, cols = np.frombuffer(os.pread(f, 16, 0).ljust(16, b"\0"), dtype=np.int64)
             if cols != width or os.fstat(f).st_size != 16 + 8 * count * cols:
                 return None
-            counts.append(int(count))
-        n = sum(counts)
-        if yi is None:
-            table = np.empty((n, width))
-        else:
-            # F-ordered, the layout of the serial parse's design
-            x, y = np.empty((n, width - 1), order="F"), np.empty(n)
-
-        def place(row: int, chunk: np.ndarray) -> None:
-            rows = slice(row, row + len(chunk))
-            if yi is None:
-                table[rows] = chunk
-            else:
-                x[rows, :yi] = chunk[:, :yi]
-                x[rows, yi:] = chunk[:, yi + 1:]
-                y[rows] = chunk[:, yi]
-
-        place(0, first)
-        row = len(first)
-        del first
-        for f, count in zip(files, counts[1:]):
-            with mmap.mmap(f, 0, prot=mmap.PROT_READ) as cells:
-                chunk = np.frombuffer(cells, np.float64, offset=16).reshape(count, width)
-                place(row, chunk)
-                del chunk  # so the map can close
-            row += count
-        return (table, None) if yi is None else (x, y)
+            cells = mmap.mmap(f, 0, prot=mmap.PROT_READ)  # unmapped with its table
+            tables.append(np.frombuffer(cells, np.float64, offset=16).reshape(count, width))
+        return design_and_y(tables, yi)
     finally:
         for f in files:
             os.close(f)

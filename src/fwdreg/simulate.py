@@ -112,6 +112,15 @@ def _theta_values(cfg: SimConfig) -> np.ndarray:
     return cfg.c * (-1.0) ** k
 
 
+def _standardized_model(x: np.ndarray, theta0: np.ndarray, epsilon: np.ndarray) -> Dataset:
+    """Standardize ``x`` in place, multiply ``theta0``, the coefficients of
+    its columns as given, in place by the scale removed, and return the
+    dataset with y = x theta0 + epsilon exactly as stored."""
+    _mean, scale = standardize(x)
+    theta0 *= scale
+    return Dataset(x=x, y=x @ theta0 + epsilon, theta0=theta0, epsilon=epsilon)
+
+
 def simulate_dataset(cfg: SimConfig) -> Dataset:
     """Draw one dataset; fully deterministic under (cfg, cfg.seed).
 
@@ -127,12 +136,9 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
         _equicorrelated_columns(x, cfg.rho)
     epsilon = cfg.noise_sd * rng.standard_normal(cfg.n)
     support = np.sort(rng.choice(cfg.p, size=cfg.s0, replace=False))
-    _mean, scale = standardize(x)
-
     theta0 = np.zeros(cfg.p)
-    theta0[support] = _theta_values(cfg) * scale[support]
-    y = x @ theta0 + epsilon
-    return Dataset(x=x, y=y, theta0=theta0, epsilon=epsilon)
+    theta0[support] = _theta_values(cfg)
+    return _standardized_model(x, theta0, epsilon)
 
 
 def nested_samples(cfg: SimConfig, sizes: Sequence[int]) -> Iterator[Dataset]:
@@ -154,14 +160,9 @@ def nested_samples(cfg: SimConfig, sizes: Sequence[int]) -> Iterator[Dataset]:
         if not 2 <= n <= cfg.n:
             raise ValueError(f"need 2 <= n <= {cfg.n} leading rows, got {n}")
     ds = simulate_dataset(cfg)
-    x, theta0, epsilon = ds.x, ds.theta0, ds.epsilon
     for n in reversed(sizes):
-        if n < x.shape[0]:
-            x = x[:n]
-            _mean, scale = standardize(x)
-            theta0 *= scale
-            ds = Dataset(x=x, y=x @ theta0 + epsilon[:n], theta0=theta0,
-                         epsilon=epsilon[:n])
+        if n < ds.n:
+            ds = _standardized_model(ds.x[:n], ds.theta0, ds.epsilon[:n])
         yield ds
 
 

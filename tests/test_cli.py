@@ -23,7 +23,7 @@ from fwdreg.cli import (
     read_csv,
     run_rates,
 )
-from fwdreg.core_linalg import Dataset, gram, standardize
+from fwdreg.core_linalg import gram, standardize
 from fwdreg.errors import BudgetExceeded
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
@@ -43,7 +43,7 @@ def csv_gram(path):
     """The Gram matrix that sparse-eig computes for a CSV."""
     _names, x, _y = read_csv(str(path))
     standardize(x)
-    return gram(Dataset(x=x, y=np.zeros(x.shape[0])))
+    return gram(x)
 
 
 @pytest.fixture
@@ -170,6 +170,18 @@ def test_malformed_csv_rejected(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
+    "command", [["fit", "-t", "0.1"], ["sparse-eig", "--s", "1"]], ids=["fit", "sparse_eig"]
+)
+def test_csv_without_covariates_rejected(tmp_path, capsys, command):
+    path = tmp_path / "d.csv"
+    path.write_text("y\n1\n2\n3\n")
+    out = tmp_path / "o.json"
+    assert main(command + ["-i", str(path), "-o", str(out)]) == EXIT_INPUT
+    assert "need at least one observation and one covariate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "bad_line, message",
     [
         ("3,abc", "could not convert string 'abc' to float64 on line 4, column 2"),
@@ -188,6 +200,26 @@ def test_csv_errors_name_the_file_line(tmp_path, capsys, bad_line, message):
     assert message in err
     assert "row" not in err
     assert "usecols" not in err
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("3,x", "could not convert string 'x' to float64 on line {}, column 2"),
+        ("3", "the number of columns changed from 2 to 1 on line {}"),
+        ("3,nan", "non-finite value in column 'y' on line {}"),
+    ],
+    ids=["bad_cell", "ragged", "nan_cell"],
+)
+@pytest.mark.parametrize("blank", ["", "\n"], ids=["no_blank", "blank_after_header"])
+def test_csv_errors_count_every_header_line(tmp_path, capsys, bad_line, message, blank):
+    """A quoted column name may hold a line end, so the header spans two
+    file lines here and the bad row is on line 4, or 5 after a blank."""
+    path = tmp_path / "d.csv"
+    path.write_text(f'"a\nb",y\n{blank}1,2\n{bad_line}\n5,6\n')
+    code = main(["fit", "-t", "0.1", "-i", str(path), "-o", str(tmp_path / "o.json")])
+    assert code == EXIT_INPUT
+    assert message.format(4 + len(blank)) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -666,7 +698,7 @@ class TestRates:
         for rep in range(reps):
             seed = cfg.seed + 1_000_003 * (len(grid) - 1) + rep
             ds = simulate_dataset(replace(cfg, n=grid[-1], seed=seed))
-            phi = theory_bounds.sparse_eig_sampled(gram(ds), 2 * cfg.s0).value
+            phi = theory_bounds.sparse_eig_sampled(gram(ds.x), 2 * cfg.s0).value
             fr = forward_regression(ds, oracle_threshold(ds, phi, safety=1.1))
             errors.append(fr.pred_error_norm)
             sizes.append(fr.s_hat)
@@ -845,3 +877,38 @@ def test_commands_never_import_scipy(tmp_path):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [EXIT_OK] * 4, "scipy": []}
+
+
+_ORACLE_SCRIPT = """
+import json, sys
+import fwdreg.cli
+loaded = [(argv[0], fwdreg.cli.main(argv), "fwdreg.oracle" in sys.modules)
+          for argv in json.loads(sys.argv[1])]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_compare_imports_the_oracle(tmp_path):
+    """fit, verify, rates and sparse-eig run without loading fwdreg.oracle,
+    the brute-force references; compare, which searches exhaustively, does."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(n=60, p=8, s0=2, noise_sd=0.5, seed=3)))
+    argvs = [
+        ["fit", "-i", str(DATA / "golden_fit_input.csv"), "-t", "0.1",
+         "-o", str(tmp_path / "fit.json")],
+        ["verify", "--config", str(cfg), "--replications", "2",
+         "-o", str(tmp_path / "verify.json")],
+        ["rates", "--config", str(cfg), "--n-grid", "60,80,100,120",
+         "--replications", "2", "-o", str(tmp_path / "rates.csv")],
+        ["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "2",
+         "-o", str(tmp_path / "eig.json")],
+        ["compare", "-i", str(DATA / "adversarial_compare.csv"), "-t", "0.05",
+         "-o", str(tmp_path / "compare.json")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["fit", EXIT_OK, False], ["verify", EXIT_OK, False], ["rates", EXIT_OK, False],
+        ["sparse-eig", EXIT_OK, False], ["compare", EXIT_OK, True]]

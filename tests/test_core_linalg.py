@@ -102,28 +102,24 @@ class TestGram:
     def test_orthonormal_design_gives_identity(self):
         rng = np.random.default_rng(2)
         x = orthonormal_design(rng, 20, 6)
-        ds = Dataset(x=x, y=np.zeros(20))
-        np.testing.assert_allclose(gram(ds), np.eye(6), atol=1e-12)
+        np.testing.assert_allclose(gram(x), np.eye(6), atol=1e-12)
 
     def test_identical_columns(self):
         x = np.array([[-1.0, -1.0], [1.0, 1.0]])
-        ds = Dataset(x=x, y=np.zeros(2))
-        np.testing.assert_allclose(gram(ds), np.ones((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(gram(x), np.ones((2, 2)), atol=1e-14)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 4))
         standardize(x)
-        ds = Dataset(x=x, y=np.zeros(10))
         ref = sum(np.outer(x[i], x[i]) for i in range(10)) / 10
-        np.testing.assert_allclose(gram(ds), ref, atol=1e-12)
+        np.testing.assert_allclose(gram(x), ref, atol=1e-12)
 
     def test_unit_diagonal_on_standardized(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((40, 7))
         standardize(x)
-        ds = Dataset(x=x, y=np.zeros(40))
-        np.testing.assert_allclose(np.diag(gram(ds)), np.ones(7), atol=1e-10)
+        np.testing.assert_allclose(np.diag(gram(x)), np.ones(7), atol=1e-10)
 
 
 class TestLeastSquares:

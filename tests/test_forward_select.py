@@ -217,7 +217,7 @@ def test_chained_inequality_with_exact_eigenvalues():
         fr = forward_regression(ds, t=0.05)
         s0 = int(np.count_nonzero(ds.theta0))
         k = max(fr.s_hat + s0, 1)
-        phi = sparse_eig_exact(gram(ds), k).value
+        phi = sparse_eig_exact(gram(ds.x), k).value
         root = np.sqrt(fr.s_hat + s0)
         assert fr.l1_error <= root * fr.l2_error * (1 + 1e-9) + 1e-15
         assert fr.l2_error <= fr.pred_error_norm / phi * (1 + 1e-9) + 1e-15

@@ -121,7 +121,7 @@ def test_sampled_sparse_eig_holds_one_key_array():
     copy of G for the screen (2.48 p x p when it made them)."""
     cfg = SimConfig(n=800, p=200, s0=5, design="toeplitz", rho=0.5,
                     theta_pattern="decaying", c=2.0, rate=0.5, seed=3)
-    g = gram(simulate_dataset(cfg))
+    g = gram(simulate_dataset(cfg).x)
     sparse_eig_sampled(g, 10)  # first-call imports and caches
     _report, peak = _peak_bytes(sparse_eig_sampled, g, 10)
     assert peak <= 1.5 * g.nbytes, f"peak {peak / g.nbytes:.2f} p x p"

@@ -17,7 +17,7 @@ from helpers import orthonormal_design, random_standardized_dataset
 
 def schur_gain(ds, support, j):
     """Third route: incremental gain from Gram-matrix block inversion."""
-    g = gram(ds)
+    g = gram(ds.x)
     b = ds.x.T @ ds.y / ds.n
     s = sorted(support)
     if not s:

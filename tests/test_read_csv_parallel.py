@@ -172,6 +172,30 @@ def test_error_in_a_child_chunk_is_the_serial_error(tmp_path, spy, bad, where):
     assert "line" in str(plain.value)
 
 
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(lambda row: row[:2] + ["abc"] + row[3:],
+                 "could not convert string 'abc' to float64 on line {}, column 3",
+                 id="bad_cell"),
+    pytest.param(lambda row: row[:1] + ["nan"] + row[2:],
+                 "non-finite value in column 'a' on line {}", id="nan"),
+    pytest.param(lambda row: row[:3], "the number of columns changed from 4 to 3 on line {}",
+                 id="short_row"),
+])
+@pytest.mark.parametrize("blank", ["", "\n"], ids=["no_blank", "blank_after_header"])
+def test_error_line_counts_every_header_line(tmp_path, spy, bad, message, blank):
+    """The quoted last column name holds a line end, so the header spans
+    two file lines and data row 40, in a child's chunk, is on line 43, or
+    44 after a blank line."""
+    rows = cells()
+    rows[40] = bad(rows[40])
+    path = tmp_path / "d.csv"
+    path.write_text('y,a,b,"c\nd"\n' + blank + "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(ValueError) as error:
+        read_csv(str(path))
+    assert spy.pids and spy.parallel == [False]
+    assert message.format(43 + len(blank)) in str(error.value)
+
+
 def test_every_chunk_ragged_alike_is_the_serial_error(tmp_path, spy):
     """Each chunk parses on its own, but the rows are wider than the header."""
     rows = [row + ["0.5"] for row in cells()]

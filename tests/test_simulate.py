@@ -93,7 +93,7 @@ class TestSimulateDataset:
         ds = simulate_dataset(
             SimConfig(n=n, p=20, s0=1, design="equicorrelated", rho=0.0, seed=4)
         )
-        g = gram(ds)
+        g = gram(ds.x)
         off = g - np.diag(np.diag(g))
         assert np.max(np.abs(off)) < 6.0 / math.sqrt(n)
 
@@ -109,7 +109,7 @@ class TestSimulateDataset:
                 for s in range(11)
             ]
             return float(np.median(
-                [np.linalg.norm(gram(d) - pop) for d in ds_list]
+                [np.linalg.norm(gram(d.x) - pop) for d in ds_list]
             ))
 
         ratio = median_dist(1000) / median_dist(4000)

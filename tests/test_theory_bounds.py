@@ -33,7 +33,7 @@ from helpers import orthonormal_design, random_standardized_dataset
 def random_gram(rng, n, p):
     x = rng.standard_normal((n, p))
     standardize(x)
-    return gram(Dataset(x=x, y=np.zeros(n)))
+    return gram(x)
 
 
 def screen_gram(kind):
@@ -53,7 +53,7 @@ def screen_gram(kind):
     elif kind == "toeplitz":
         raw = raw @ np.linalg.cholesky(scipy.linalg.toeplitz(0.9 ** np.arange(p))).T
     standardize(raw)
-    return gram(Dataset(x=raw, y=np.zeros(n)))
+    return gram(raw)
 
 
 SCREEN_KINDS = ["duplicated", "near_collinear", "toeplitz", "equicorrelated", "p_gt_n"]
@@ -407,7 +407,7 @@ class TestSparseEigSampled:
         cfg = SimConfig(n=1600, p=200, s0=5, design="toeplitz", rho=0.5,
                         theta_pattern="decaying", c=2.0, rate=0.5, noise_sd=1.0,
                         seed=3 + 3 * 1_000_003)
-        grams = [gram(ds) for ds in nested_samples(cfg, (200, 400, 800, 1600))][::-1]
+        grams = [gram(ds.x) for ds in nested_samples(cfg, (200, 400, 800, 1600))][::-1]
         groups = [theory_bounds._lowest(g, theory_bounds._partner_groups(g, 10))[0]
                   for g in grams]
         rows = []
@@ -535,7 +535,7 @@ class TestVerifyTheorem1:
         theta0[1] = 2.0
         ds = Dataset(x=x, y=x @ theta0, theta0=theta0, epsilon=np.zeros(30))
         fr = forward_regression(ds, t=0.5)
-        report = verify_theorem1(fr, ds, 0.5, exact_eig_source(gram(ds)))
+        report = verify_theorem1(fr, ds, 0.5, exact_eig_source(gram(ds.x)))
         assert report.noise_sup == pytest.approx(0.0, abs=1e-12)
         assert report.pred_bound_holds
         assert report.threshold_ok
@@ -547,7 +547,7 @@ class TestVerifyTheorem1:
         ds_plain = Dataset(x=ds.x, y=ds.y)
         fr = forward_regression(ds_plain, t=0.1)
         with pytest.raises(MissingGroundTruth):
-            verify_theorem1(fr, ds_plain, 0.1, exact_eig_source(gram(ds_plain)))
+            verify_theorem1(fr, ds_plain, 0.1, exact_eig_source(gram(ds_plain.x)))
 
     def test_vacuous_premise(self):
         # a threshold far below the regularization floor admits no m
@@ -555,7 +555,7 @@ class TestVerifyTheorem1:
         ds = random_standardized_dataset(rng, 50, 8, s0=2, noise_sd=1.0)
         t = 1e-10
         fr = forward_regression(ds, t)
-        report = verify_theorem1(fr, ds, t, exact_eig_source(gram(ds)))
+        report = verify_theorem1(fr, ds, t, exact_eig_source(gram(ds.x)))
         assert report.c2_of_m == ()
         assert not report.threshold_ok
         # the prediction bound carries no threshold premise
@@ -569,7 +569,7 @@ class TestVerifyTheorem3:
         theta0 = np.array([3.0, 0.0, 0.0, 0.0])
         ds = Dataset(x=x, y=x @ theta0, theta0=theta0, epsilon=np.zeros(30))
         fr = forward_regression(ds, t=0.5)
-        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds))) == (True, True)
+        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds.x))) == (True, True)
 
     def test_tight_single_coordinate_case(self):
         # orthonormal design, deviation on one coordinate: all three
@@ -582,20 +582,20 @@ class TestVerifyTheorem3:
         fr = forward_regression(ds, t=2.0)
         assert fr.support == ()
         assert fr.l1_error == fr.l2_error == pytest.approx(fr.pred_error_norm)
-        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds))) == (True, True)
+        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds.x))) == (True, True)
 
     def test_random_ensemble(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             ds = random_standardized_dataset(rng, 60, 10, s0=2, noise_sd=0.4)
             fr = forward_regression(ds, t=0.05)
-            assert verify_theorem3(fr, ds, exact_eig_source(gram(ds))) == (True, True)
+            assert verify_theorem3(fr, ds, exact_eig_source(gram(ds.x))) == (True, True)
 
     def test_zero_eigenvalue_at_fit_size(self):
         # s_hat = 4 selections plus s0 = 3 true columns fill the n = 7
         # sample, so every size-7 subset is singular and phi_min(7) = 0
         ds = simulate_dataset(SimConfig(n=7, p=12, s0=3, noise_sd=0.3, seed=18))
-        eig = exact_eig_source(gram(ds))
+        eig = exact_eig_source(gram(ds.x))
         fr = forward_regression(ds, oracle_threshold(ds, eig(1).value))
         with pytest.raises(NonpositiveEigenvalue,
                            match=r"at size 7 \(s_hat = 4, s0 = 3\) .*\(n = 7;"):
@@ -608,7 +608,7 @@ class TestExactEigenvaluesOnly:
 
     def _fit(self):
         ds = simulate_dataset(SimConfig(n=60, p=10, s0=2, noise_sd=0.5, seed=21))
-        g = gram(ds)
+        g = gram(ds.x)
         t = oracle_threshold(ds, sparse_eig_exact(g, 4).value)
         fr = forward_regression(ds, t)
         assert fr.s_hat >= 1  # so the fit size s_hat + 2 differs from m + s0 at m = 0
