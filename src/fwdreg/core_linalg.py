@@ -155,10 +155,15 @@ def is_standardized(x: np.ndarray) -> bool:
 
 
 def gram(x: np.ndarray) -> np.ndarray:
-    """Empirical Gram matrix (1/n) X'X of the n x p design ``x``."""
-    g = x.T @ x / x.shape[0]
-    # enforce exact symmetry against accumulation order
-    return (g + g.T) / 2.0
+    """Empirical Gram matrix (1/n) X'X of the n x p design ``x``.
+
+    numpy forms x.T @ x as one symmetric product (BLAS syrk, or a loop
+    that sums each pair's products in the same order), so it is exactly
+    symmetric and needs no (G + G')/2; the one p x p array is scaled in
+    place."""
+    g = x.T @ x
+    g /= x.shape[0]
+    return g
 
 
 def least_squares_on_support(

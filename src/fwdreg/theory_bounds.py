@@ -35,7 +35,14 @@ DEFAULT_SUBSET_BUDGET = 10_000_000
 # rounding in the error norms.
 THEOREM3_RTOL = 1e-9
 
-_CHUNK = 20_000
+# Float64 entries in each working array of _search: a batch of prefix
+# blocks, or the gathered tail blocks of one piece. A batch, a piece and
+# the temporaries of their LDL' then stay well inside a 2 MiB L2 cache;
+# below about 60,000 entries the enumeration gets slower.
+_CHUNK = 60_000
+
+# Keys that _smallest partitions at a time.
+_PARTITION_ENTRIES = 10_000
 
 # Partner groups solved by eigvalsh for the first incumbent; the other
 # groups are screened against it.
@@ -125,14 +132,14 @@ def _screen_level(best: float, size: int, gmax: float) -> float:
 def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of ``keys``,
     ascending within the row; ties go to the lower index. np.partition
-    finds each row's k-th smallest value v, on at most _CHUNK / 2 entries
-    at a time, so no partitioned copy of ``keys`` is held. A mask keeps
+    finds each row's k-th smallest value v, on at most _PARTITION_ENTRIES
+    keys at a time, so no partitioned copy of ``keys`` is held. A mask keeps
     the entries <= v in place, so flatnonzero returns every row sorted.
     Every row keeps at least k entries; a row with more (a tie at v) keeps
     only the first of those equal to v."""
     rows, p = keys.shape
     kth = np.empty((rows, 1))
-    step = max(1, _CHUNK // (2 * p))
+    step = max(1, _PARTITION_ENTRIES // p)
     for lo in range(0, rows, step):
         kth[lo : lo + step, 0] = np.partition(keys[lo : lo + step], k - 1, axis=1)[:, k - 1]
     keep = keys <= kth
@@ -223,12 +230,15 @@ def _search(
     when G_S - cI is positive definite, c just above the incumbent (see
     _screen_level). One _eliminate over a batch of prefixes gives their
     Schur complements on r0..p-1, and one more runs the LDL' of the tail
-    blocks over the (tail, prefix) pairs in pieces of at most _CHUNK
-    pairs; a prefix batch holds no more entries than a piece's _CHUNK
-    tail blocks. The one empty prefix has no Schur complement, so its tail
-    blocks are gathered from g itself and c is taken off their diagonals.
-    Survivors get the eigvalsh call of a plain enumeration, so the result
-    is that of solving every subset."""
+    blocks over the (tail, prefix) pairs, a piece at a time. _CHUNK counts
+    float64 entries: a batch holds _CHUNK // span^2 prefixes, each a
+    span x span block (span = q + p - r0), and a piece _CHUNK // (m^2 w)
+    tails for the w prefixes of its batch, so each holds at most _CHUNK
+    entries unless one prefix or pair alone is larger. The one empty
+    prefix has no Schur complement, so its tail blocks are gathered from g
+    itself and c is taken off their diagonals. Survivors get the eigvalsh
+    call of a plain enumeration, so the result is that of solving every
+    subset; the split into batches and pieces changes only the work."""
     p = g.shape[0]
     gmax = _abs_max(g)
     for heads, tails in blocks:
@@ -237,7 +247,7 @@ def _search(
         span = q + p - r0
         diag = np.arange(span)
         tail_rows = np.arange(r0, p)
-        per_batch = max(1, _CHUNK * m * m // (span * span))
+        per_batch = max(1, _CHUNK // (span * span))
         for lo in range(0, heads.shape[0], per_batch):
             batch = heads[lo : lo + per_batch].astype(np.intp)
             width = batch.shape[0]
@@ -253,7 +263,7 @@ def _search(
                 entries = a.reshape(span * span, width)
             else:
                 heads_ok = np.ones(1, dtype=bool)
-            per_piece = max(1, _CHUNK // width)
+            per_piece = max(1, _CHUNK // (m * m * width))
             for t0 in range(0, tails.shape[0], per_piece):
                 # one tail per column, so every gathered block is contiguous
                 piece = tails[t0 : t0 + per_piece].T.astype(np.intp, order="C")

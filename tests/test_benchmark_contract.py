@@ -1,8 +1,10 @@
 """The benchmark traces fwdreg from outside the package by module attribute
 name (perfbench/tracer.py), and each workload lists the names that must
-record calls (perfbench/workloads.py). A traced name that no longer
-exists is only reported as absent, which turns a traced run incorrect
-without failing anything else, so the names are pinned here."""
+record calls (perfbench/workloads.py). An expected name that records no
+calls makes a traced run incorrect, but a name that no longer exists is
+only reported as absent and left out of that check: the run still
+reports correct and the layer reads zero. Nothing else would fail, so
+the names are pinned here."""
 
 import concurrent.futures
 import importlib

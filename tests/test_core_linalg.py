@@ -121,6 +121,20 @@ class TestGram:
         standardize(x)
         np.testing.assert_allclose(np.diag(gram(x)), np.ones(7), atol=1e-10)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "leading_rows", "row_strided",
+                                        "column_strided"])
+    def test_exactly_symmetric_without_averaging(self, layout):
+        # X'X comes out exactly symmetric on every layout a caller passes,
+        # so it equals the averaged (G + G')/2 bit for bit
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((301, 45))
+        x = {"C": raw, "F": np.asfortranarray(raw), "leading_rows": raw[:200],
+             "row_strided": raw[::2], "column_strided": raw[:, ::2]}[layout]
+        g = gram(x)
+        np.testing.assert_array_equal(g, g.T)
+        averaged = x.T @ x / x.shape[0]
+        np.testing.assert_array_equal(g, (averaged + averaged.T) / 2.0)
+
 
 class TestLeastSquares:
     def test_empty_support(self):

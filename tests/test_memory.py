@@ -1,5 +1,5 @@
-"""Memory of the CSV data path, of simulation, of the sampled sparse
-eigenvalue and of the selection loop, measured with tracemalloc (numpy
+"""Memory of the CSV data path, of simulation, of the sparse eigenvalues
+and of the selection loop, measured with tracemalloc (numpy
 reports its array buffers to it).
 
 The parsed n x (p+1) table is the unit for reading: streaming the rows
@@ -11,10 +11,12 @@ correlated and standardized in place, so it holds one design. A `rates`
 replication fits its grid points largest first, each on the draw's
 leading rows standardized again in place, so it holds one design and
 copies no rows. The sampled sparse eigenvalue holds about one p x p key
-array beyond the Gram matrix. The selection loop allocates vectors of
-length n or p and n x k bases, never a design-sized temporary. One job
-thread is the calling thread, so it starts no worker thread (nor the
-heap a new thread's allocations get)."""
+array beyond the Gram matrix; the exact one holds a prefix batch and a
+tail piece of at most theory_bounds._CHUNK float64 entries each. The
+selection loop allocates vectors of length n or p and n x k bases,
+never a design-sized temporary. One job thread is the calling thread,
+so it starts no worker thread (nor the heap a new thread's allocations
+get)."""
 
 import os
 import threading
@@ -28,7 +30,7 @@ from fwdreg.cli import _fan_out, read_dataset, run_rates
 from fwdreg.core_linalg import column_moments, gram
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, simulate_dataset
-from fwdreg.theory_bounds import sparse_eig_sampled
+from fwdreg.theory_bounds import sparse_eig_exact, sparse_eig_sampled
 
 N, P = 400, 250
 
@@ -125,6 +127,21 @@ def test_sampled_sparse_eig_holds_one_key_array():
     sparse_eig_sampled(g, 10)  # first-call imports and caches
     _report, peak = _peak_bytes(sparse_eig_sampled, g, 10)
     assert peak <= 1.5 * g.nbytes, f"peak {peak / g.nbytes:.2f} p x p"
+
+
+def test_exact_sparse_eig_works_in_cache_sized_pieces():
+    """phi(6) of a verify-sized Gram (p = 30, the size behind the
+    prediction and count checks): a prefix batch and a tail piece of at
+    most 60,000 entries (480 KB) each, and their LDL' temporaries, peak
+    near 1.09 MB; counting the budget in (tail, prefix) pairs made
+    9 x 20,000-entry (1.44 MB) pieces and a 2.71 MB peak."""
+    cfg = SimConfig(n=200, p=30, s0=3, design="independent", rho=0.0,
+                    theta_pattern="signed_alternating", c=1.0, rate=1.0,
+                    noise_sd=0.5, seed=7001)
+    g = gram(simulate_dataset(cfg).x)
+    sparse_eig_exact(g, 6)  # first-call imports and caches
+    _report, peak = _peak_bytes(sparse_eig_exact, g, 6)
+    assert peak < 1_300_000, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_one_thread_fans_out_on_the_calling_thread():

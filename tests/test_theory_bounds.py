@@ -133,25 +133,27 @@ class TestSparseEigExact:
     @pytest.mark.parametrize("kind", SCREEN_KINDS)
     def test_chunk_split_does_not_change_result(self, kind, monkeypatch):
         # with s = 5 and p = 9 the prefixes have q = 2 indices and the r0
-        # blocks r0 = 2..6 hold 1..5 prefixes and C(7, 3) = 35..1 tails.
-        # A chunk of 4 puts one prefix in each batch (4 * 3^2 = 36 is less
-        # than twice 5^2, the smallest span^2) and at most 4 tails in each
-        # piece
+        # blocks r0 = 2..6 hold 1..5 prefixes of span 9..5 and
+        # C(7, 3) = 35..1 tails of m = 3. A budget of 100 float64 entries
+        # puts 100 // span^2 = 1, 1, 2, 2, 4 prefixes in each batch of a
+        # block, and 100 // (3^2 w) = 11, 5, 2 tails in each piece of a
+        # batch of w = 1, 2, 4 prefixes
         g = screen_gram(kind)
         whole = sparse_eig_exact(g, 5), sparse_eig_sampled(g, 5)
         calls = []
         eliminate = theory_bounds._eliminate
         monkeypatch.setattr(theory_bounds, "_eliminate",
-                            lambda a, steps: (calls.append((steps, a.shape[2])),
+                            lambda a, steps: (calls.append((steps, a.shape)),
                                               eliminate(a, steps))[1])
-        monkeypatch.setattr(theory_bounds, "_CHUNK", 4)
+        monkeypatch.setattr(theory_bounds, "_CHUNK", 100)
         assert sparse_eig_exact(g, 5) == whole[0]
-        batches = [width for steps, width in calls if steps == 2]
-        pieces = [width for steps, width in calls if steps == 3]
-        assert len(batches) == 1 + 2 + 3 + 4 + 5 and set(batches) == {1}
-        assert len(pieces) == sum(math.ceil(math.comb(9 - r0, 3) / 4) * (r0 - 1)
-                                  for r0 in range(2, 7))
-        assert max(pieces) == 4
+        batches = [shape for steps, shape in calls if steps == 2]
+        pieces = [shape for steps, shape in calls if steps == 3]
+        assert [shape[2] for shape in batches] == [1, 1, 1, 2, 1, 2, 2, 4, 1]
+        assert max(math.prod(shape) for shape in batches) == 100  # 4 prefixes of 5 x 5
+        # per r0 block: ceil(tails / per_piece) pieces for each batch
+        assert len(pieces) == 4 + (2 + 2) + (2 + 1) + (1 + 1) + (1 + 1)
+        assert max(math.prod(shape) for shape in pieces) == 9 * 11
         assert sparse_eig_sampled(g, 5) == whole[1]
 
     def test_equicorrelated_solves_each_block_once(self, monkeypatch):
@@ -171,7 +173,7 @@ class TestSparseEigExact:
         assert len(calls) <= 1 + 10
 
     def test_memory_stays_bounded(self):
-        # every piece and prefix batch holds at most _CHUNK 3 x 3 blocks;
+        # every piece and prefix batch holds at most _CHUNK float64 entries;
         # the old 10-index tails of p = 20, s = 12 peaked at 50 MB
         g = random_gram(np.random.default_rng(17), 100, 20)
         tracemalloc.start()
