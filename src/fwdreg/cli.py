@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import json
 import math
@@ -55,8 +56,9 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
-    """Read a data CSV: (covariate names, raw design, response or None).
+def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray], Optional[int]]:
+    """Read a data CSV: (covariate names, raw design, response or None,
+    0-based header column of the response or None).
 
     The response column must be named "y"; if absent, every column is a
     covariate (useful for sparse-eig). A UTF-8 byte-order mark is dropped.
@@ -125,7 +127,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
         yi = header.index("y") if "y" in header else None
         parsed = parse_in_parallel(path, fh.fileno(), reader.line_num, len(header), yi)
         if parsed is not None:
-            return (names, *parsed)
+            return (names, *parsed, yi)
         try:
             data = np.loadtxt(itertools.chain([first], lines), **LOADTXT_ARGS)
         except ValueError as exc:
@@ -147,7 +149,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
         raise ValueError(f"{path}: non-finite value in column {header[col]!r} "
                          f"on line {file_line(row)}")
     del finite  # free the table-sized mask before the design is copied out
-    return (names, *design_and_y([data], yi))
+    return (names, *design_and_y([data], yi), yi)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
@@ -158,13 +160,27 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
             writer.writerow(row)
 
 
+def _standardize_csv(path: str, names: Sequence[str], x: np.ndarray,
+                    yi: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """standardize(x) for a design that read_csv returned with ``names`` and
+    ``yi``; a constant column is named by its header name and its 1-based
+    column in the file."""
+    try:
+        return standardize(x)
+    except ZeroVarianceColumn as exc:
+        j = exc.column
+        column = j + 1 + (yi is not None and j >= yi)
+        raise ZeroVarianceColumn(j, f"{path}: column {names[j]!r} (CSV column {column}) "
+                                    "has zero sample variance") from None
+
+
 def read_dataset(path: str) -> tuple[list[str], Dataset, np.ndarray, np.ndarray, float]:
     """Read a CSV into a Dataset of standardized covariates and centred "y":
     (names, dataset, column means, column scales, mean of y)."""
-    names, x, y = read_csv(path)
+    names, x, y, yi = read_csv(path)
     if y is None:
         raise ValueError(f"{path}: no response column named 'y'")
-    mean, scale = standardize(x)
+    mean, scale = _standardize_csv(path, names, x, yi)
     y_mean = float(y.mean())
     return names, Dataset(x=x, y=y - y_mean), mean, scale, y_mean
 
@@ -459,10 +475,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_sparse_eig(args: argparse.Namespace) -> int:
-    names, x, _y = read_csv(args.input)
+    names, x, _y, yi = read_csv(args.input)
     if not names:  # a lone "y" column
         raise ValueError("need at least one observation and one covariate")
-    standardize(x)
+    _standardize_csv(args.input, names, x, yi)
     g = gram(x)
     try:
         rep = theory_bounds.sparse_eig_exact(g, args.s)
@@ -599,6 +615,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    """The console script. The objects that numpy and fwdreg create at
+    import live until exit, so they are frozen first: the full garbage
+    collections during the run and at interpreter exit then skip them,
+    and a collection in a forked CSV-parse worker leaves their pages
+    shared."""
+    gc.freeze()
     sys.exit(main())
 
 

@@ -8,12 +8,12 @@ class FwdregError(Exception):
 class ZeroVarianceColumn(FwdregError):
     """A covariate column is constant and cannot be standardized."""
 
-    def __init__(self, column: int):
+    def __init__(self, column: int, message: str = ""):
         self.column = column
-        super().__init__(f"column {column} has zero sample variance")
+        super().__init__(message or f"column {column} has zero sample variance")
 
     def __reduce__(self):
-        return type(self), (self.column,)
+        return type(self), (self.column, *self.args)
 
 
 class RankDeficientSupport(FwdregError):

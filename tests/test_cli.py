@@ -41,7 +41,7 @@ def write_rows(path, header, rows):
 
 def csv_gram(path):
     """The Gram matrix that sparse-eig computes for a CSV."""
-    _names, x, _y = read_csv(str(path))
+    _names, x, _y, _yi = read_csv(str(path))
     standardize(x)
     return gram(x)
 
@@ -75,7 +75,7 @@ class TestFit:
         assert out.read_bytes() == (DATA / "golden_fit_output.json").read_bytes()
 
     def test_back_transform_round_trip(self):
-        names, raw, y = read_csv(str(DATA / "golden_fit_input.csv"))
+        names, raw, y, _yi = read_csv(str(DATA / "golden_fit_input.csv"))
         report = fit_csv(str(DATA / "golden_fit_input.csv"), t=0.1)
         beta = np.zeros(len(names))
         for name, value in report["coefficients"].items():
@@ -91,7 +91,9 @@ class TestFit:
         out = tmp_path / "o.json"
         code = main(["fit", "-i", str(path), "-t", "0.1", "-o", str(out)])
         assert code == EXIT_DEGENERATE
-        assert "column 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"degenerate input: {path}: column 'x1' (CSV column 1) has zero sample variance\n")
+        assert not out.exists()
 
     def test_malformed_csv_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -260,7 +262,7 @@ def test_quoted_cells_and_blank_lines_accepted(tmp_path):
     # Python's float() is the reference parse, bit for bit
     reference = np.array([[float(v) for v in row] for row in rows])
     for path in (plain, quoted):
-        names, raw, y = read_csv(str(path))
+        names, raw, y, _yi = read_csv(str(path))
         assert names == header[:3]
         assert np.column_stack([raw, y]).tobytes() == reference.tobytes()
     assert fit_csv(str(quoted), t=0.05) == fit_csv(str(plain), t=0.05)
@@ -275,8 +277,9 @@ def test_utf8_byte_order_mark_dropped(tmp_path, header):
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
     write_rows(plain, header, rng.standard_normal((12, 3)).tolist())
     bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
-    names, _raw, y = read_csv(str(bom))
+    names, _raw, y, yi = read_csv(str(bom))
     assert names == [h for h in header if h != "y"]
+    assert yi == header.index("y")
     assert y is not None
     reports = []
     for path in (plain, bom):
@@ -284,6 +287,29 @@ def test_utf8_byte_order_mark_dropped(tmp_path, header):
         assert main(["fit", "-i", str(path), "-t", "0.01", "-o", str(out)]) == EXIT_OK
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv, header, name, column",
+    [
+        (["fit", "-t", "0.1"], ["y", "a"], "a", 2),
+        (["compare", "-t", "0.1"], ["a", "y", "b"], "b", 3),
+        (["sparse-eig", "--s", "1"], ["a", "b"], "b", 2),
+    ],
+    ids=["fit_y_first", "compare_y_inside", "sparse_eig_no_y"],
+)
+def test_constant_column_is_named(tmp_path, capsys, argv, header, name, column):
+    """A constant covariate is reported by its header name and its 1-based
+    column in the file, which counts the "y" column where there is one."""
+    path = tmp_path / "flat.csv"
+    columns = {"y": [1.0, 2.0, 3.0], "a": [3.0, 1.0, 2.0], "b": [2.0, 2.0, 2.0]}
+    columns[name] = [2.0, 2.0, 2.0]
+    write_rows(path, header, zip(*(columns[h] for h in header)))
+    out = tmp_path / "o.json"
+    assert main([*argv, "-i", str(path), "-o", str(out)]) == EXIT_DEGENERATE
+    assert capsys.readouterr().err == (f"degenerate input: {path}: column {name!r} "
+                                       f"(CSV column {column}) has zero sample variance\n")
+    assert not out.exists()
 
 
 _DEV_MODE_SCRIPT = """
@@ -912,3 +938,82 @@ def test_only_compare_imports_the_oracle(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["fit", EXIT_OK, False], ["verify", EXIT_OK, False], ["rates", EXIT_OK, False],
         ["sparse-eig", EXIT_OK, False], ["compare", EXIT_OK, True]]
+
+
+# ---------------------------------------------------------------------------
+# the console script's exit path: cli.entry() freezes the import-time heap
+# before main() runs. It is reached only in a fresh interpreter; a call in
+# this process would pin the test session's garbage.
+
+
+def run_module(*argv):
+    """``python -m fwdreg.cli ARGV``, which runs cli.entry() as the
+    console script does, with stdout and stderr on pipes."""
+    return subprocess.run([sys.executable, "-m", "fwdreg.cli", *argv],
+                          capture_output=True, text=True, env=child_env())
+
+
+_FREEZE_SCRIPT = """
+import atexit, gc, runpy, sys
+print(gc.get_freeze_count())
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+sys.argv = ["fwdreg", "--help"]
+runpy.run_module("fwdreg.cli", run_name="__main__")
+"""
+
+
+class TestEntry:
+    def test_help(self):
+        proc = run_module("--help")
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.startswith("usage: fwdreg ")
+        assert proc.stderr == ""
+
+    def test_usage_error(self):
+        proc = run_module("fit", "-t", "0.1")
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: fwdreg fit ")
+        assert proc.stderr.endswith(
+            "error: the following arguments are required: --input/-i, --out/-o\n")
+
+    def test_missing_input_file(self, tmp_path):
+        out = tmp_path / "x.json"
+        proc = run_module("fit", "-i", str(tmp_path / "missing.csv"), "-t", "0.1",
+                          "-o", str(out))
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_constant_column(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        write_rows(path, ["y", "a"], [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]])
+        proc = run_module("fit", "-i", str(path), "-t", "0.1", "-o", str(tmp_path / "o.json"))
+        assert proc.returncode == EXIT_DEGENERATE
+        assert proc.stderr == (f"degenerate input: {path}: column 'a' (CSV column 2) "
+                               "has zero sample variance\n")
+
+    def test_rates_output_matches_main(self, tmp_path, capsys):
+        """The JSON line arrives whole on a piped stdout, and the CSV is the
+        in-process main()'s byte for byte."""
+        argv = ["rates", "--config", str(DATA / "golden_verify_config.json"),
+                "--n-grid", "100,200,400,800", "--replications", "5", "-o"]
+        proc = run_module(*argv, str(tmp_path / "spawned.csv"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main([*argv, str(tmp_path / "in_process.csv")]) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
+        assert json.loads(proc.stdout)["phi_upper_bound_only"] is True
+        assert (tmp_path / "spawned.csv").read_bytes() == (
+            tmp_path / "in_process.csv").read_bytes()
+
+    def test_heap_is_frozen_by_exit(self):
+        """By exit, the objects built at import sit in the permanent
+        generation, which no collection walks; the first line shows the
+        count before cli.entry() ran."""
+        proc = subprocess.run([sys.executable, "-c", _FREEZE_SCRIPT],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "0" and lines[-1] == "True"

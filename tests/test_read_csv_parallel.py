@@ -54,8 +54,8 @@ def serial(fn, *args):
 
 
 def assert_same(got, want):
-    assert got[0] == want[0]
-    for a, b in zip(got[1:], want[1:]):
+    assert got[0] == want[0] and got[3] == want[3]
+    for a, b in zip(got[1:3], want[1:3]):
         if b is None:
             assert a is None
         else:
