@@ -21,13 +21,12 @@ import math
 import re
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from . import theory_bounds
+from . import parallel, theory_bounds
 from .core_linalg import (
     Dataset,
     gram,
@@ -73,20 +72,15 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray], Op
     "y" column the returned arrays are copies and the parsed table is
     freed on return; without one the design is the table itself.
 
-    A regular file with at least 2 * parallel_csv.PARSE_CHUNK_BYTES of
-    data rows is parsed in parallel on a Linux-like system (fork,
-    memfd_create and sched_getaffinity) with more than one usable CPU,
-    when no other Python thread runs: forked children, at most one per
-    CPU, each parse a run of whole lines into a memory file while this
-    process parses the first run, and the design is assembled one run at
-    a time. The result is byte-identical to the serial parse. Any failure
-    in a run (a bad, non-finite or ragged cell, a dead child) discards the
-    runs and parses the file serially, so errors and their file lines
-    come from the serial parse.
+    A regular file with at least 2 * parallel.PARSE_CHUNK_BYTES of
+    data rows is parsed by parallel.fan_out: on a Linux-like system with
+    more than one usable CPU and no other Python thread, forked children,
+    at most one per CPU, each parse a run of whole lines while this
+    process parses the first, and the design is assembled one run at a
+    time. The result is byte-identical to the serial parse. A run that
+    fails to parse (a bad, non-finite or ragged cell) sends the file to
+    the serial parse, so errors and their file lines come from it.
     """
-    # imported here, so that commands that read no CSV do not load it
-    from .parallel_csv import LOADTXT_ARGS, design_and_y, parse_in_parallel
-
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -125,11 +119,12 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray], Op
             raise ValueError(f"{path}: duplicate column name {dupes[0]!r}")
         names = [h for h in header if h != "y"]
         yi = header.index("y") if "y" in header else None
-        parsed = parse_in_parallel(path, fh.fileno(), reader.line_num, len(header), yi)
+        parsed = parallel.parse_in_parallel(path, fh.fileno(), reader.line_num,
+                                            len(header), yi)
         if parsed is not None:
             return (names, *parsed, yi)
         try:
-            data = np.loadtxt(itertools.chain([first], lines), **LOADTXT_ARGS)
+            data = np.loadtxt(itertools.chain([first], lines), **parallel.LOADTXT_ARGS)
         except ValueError as exc:
             # loadtxt numbers the rows it was given: 0-based in "at row R,
             # column C" (a bad cell), 1-based in "at row R;" (a ragged row)
@@ -149,7 +144,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, Optional[np.ndarray], Op
         raise ValueError(f"{path}: non-finite value in column {header[col]!r} "
                          f"on line {file_line(row)}")
     del finite  # free the table-sized mask before the design is copied out
-    return (names, *design_and_y([data], yi), yi)
+    return (names, *parallel.design_and_y([data], yi), yi)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
@@ -183,19 +178,6 @@ def read_dataset(path: str) -> tuple[list[str], Dataset, np.ndarray, np.ndarray,
     mean, scale = _standardize_csv(path, names, x, yi)
     y_mean = float(y.mean())
     return names, Dataset(x=x, y=y - y_mean), mean, scale, y_mean
-
-
-def _fan_out(worker: Callable, jobs: Sequence, threads: int) -> list:
-    """Run ``worker`` on every job over ``threads`` threads. Results come
-    back in job order and a worker's error is re-raised, so the thread
-    count changes neither the output nor the exit code. One thread is the
-    calling thread itself, with no pool and no worker heap."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads == 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +288,8 @@ def run_verify(
     """Simulate, fit and bound-check ``replications`` seeds.
 
     Returns (report, all_bounds_hold). Replications are independent given
-    their seeds, so thread scheduling cannot change the report.
+    their seeds and fanned out over up to ``threads`` processes
+    (parallel.fan_out), so the process count cannot change the report.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -318,7 +301,7 @@ def run_verify(
         return _verify_one(cfg, rep, safety, phi_size)
 
     try:
-        records = _fan_out(worker, range(replications), threads)
+        records = parallel.fan_out(worker, range(replications), threads)
     except BudgetExceeded as exc:
         # phi(phi_size) is looked up first, so a refusal at its size is that lookup
         cut = (f"--phi-size (now {phi_size}) or p" if exc.size == min(phi_size, cfg.p)
@@ -427,7 +410,7 @@ def run_rates(
         return fits[::-1]
 
     # results[rep][gi]
-    results = _fan_out(worker, range(replications), threads)
+    results = parallel.fan_out(worker, range(replications), threads)
 
     rows = []
     for gi, n in enumerate(n_grid):
@@ -569,7 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="SimConfig JSON path")
     sim.add_argument("--replications", type=int, default=100)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker processes for the replications: forks up to one "
+                          "per usable CPU on Linux, runs in the calling process "
+                          "elsewhere; the outputs do not depend on it")
     sim.add_argument("--safety", type=float, default=1.1)
 
     fit = sub.add_parser("fit", parents=[data, threshold, out],
@@ -618,8 +604,7 @@ def entry() -> None:
     """The console script. The objects that numpy and fwdreg create at
     import live until exit, so they are frozen first: the full garbage
     collections during the run and at interpreter exit then skip them,
-    and a collection in a forked CSV-parse worker leaves their pages
-    shared."""
+    and a collection in a forked worker leaves their pages shared."""
     gc.freeze()
     sys.exit(main())
 

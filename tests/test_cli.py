@@ -487,6 +487,23 @@ def test_rates_matches_golden_files(tmp_path, capsys):
     assert capsys.readouterr().out == (DATA / "golden_rates_stdout.json").read_text()
 
 
+def test_forked_rates_under_two_blas_threads_match_golden_files(tmp_path):
+    """Two worker processes, each forked while OpenBLAS runs two threads
+    (it stops its pool before a fork and restarts it after), give the
+    golden CSV and stdout line. The timeout turns a deadlocked child into
+    a failure."""
+    out = tmp_path / "rates.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fwdreg.cli", "rates",
+         "--config", str(DATA / "golden_verify_config.json"),
+         "--n-grid", "100,200,400,800", "--replications", "20", "--threads", "2",
+         "-o", str(out)],
+        capture_output=True, text=True, timeout=300, env=child_env(OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert out.read_bytes() == (DATA / "golden_rates_output.csv").read_bytes()
+    assert proc.stdout == (DATA / "golden_rates_stdout.json").read_text()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["rates", "--config", str(DATA / "golden_verify_config.json"),
@@ -576,6 +593,34 @@ class TestVerifyCommand:
             "the bound checks take exact phi_min only, so verify needs a smaller "
             "p or s0 (6 is a bound-check size, s_hat + s0 or m + s0)\n")
         assert not out.exists()
+
+    def test_budget_guard_over_two_workers(self, tmp_path, capsys):
+        """A job that fails in a forked worker gives the serial run's exit
+        code and message, and no report."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 200, "p": 60, "s0": 3, "seed": 1}))
+        out = tmp_path / "o.json"
+        code = main(["verify", "--config", str(cfg), "--replications", "2",
+                     "--threads", "2", "-o", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: C(60, 6) = {math.comb(60, 6)} subsets > budget 10000000; "
+            "the bound checks take exact phi_min only, so verify needs a smaller "
+            "--phi-size (now 6) or p\n")
+        assert not out.exists()
+
+    def test_failed_bound_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        """With c1 = 0 no prediction error meets the bound. The replications
+        run in this process (one worker), where the patch holds."""
+        monkeypatch.setattr(theory_bounds, "constant_c1", lambda *args: 0.0)
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", self._config(tmp_path),
+                     "--replications", "2", "--threads", "1", "-o", str(out)])
+        assert code == EXIT_BOUND_FAILURE
+        assert capsys.readouterr().err == "bound check failed on at least one replication\n"
+        report = json.loads(out.read_text())
+        assert report["all_bounds_hold"] is False
+        assert not any(r["pred_bound_holds"] for r in report["records"])
 
     def test_zero_eigenvalue_at_fit_size(self, tmp_path, capsys):
         # s_hat = 4 and s0 = 3 fill the n = 7 sample, so phi_min(7) = 0
@@ -735,7 +780,9 @@ class TestRates:
         }
 
     def test_one_draw_per_replication(self, monkeypatch):
-        """Each replication simulates once, at the largest n."""
+        """Each replication simulates once, at the largest n. The draws are
+        counted in this process, so the replications run here (one worker);
+        test_thread_count_does_not_change_csv covers two."""
         simulated = []
 
         def simulate(cfg):
@@ -744,7 +791,7 @@ class TestRates:
 
         monkeypatch.setattr(simulate_module, "simulate_dataset", simulate)
         cfg = SimConfig(n=50, p=10, s0=2, noise_sd=1.0, seed=5)
-        run_rates(cfg, [50, 100, 200, 400], replications=3, threads=2)
+        run_rates(cfg, [50, 100, 200, 400], replications=3, threads=1)
         last = 5 + 1_000_003 * 3
         assert sorted(simulated) == [(400, last + rep) for rep in range(3)]
 

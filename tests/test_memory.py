@@ -14,19 +14,18 @@ copies no rows. The sampled sparse eigenvalue holds about one p x p key
 array beyond the Gram matrix; the exact one holds a prefix batch and a
 tail piece of at most theory_bounds._CHUNK float64 entries each. The
 selection loop allocates vectors of length n or p and n x k bases,
-never a design-sized temporary. One job thread is the calling thread,
-so it starts no worker thread (nor the heap a new thread's allocations
-get)."""
+never a design-sized temporary. One worker is the calling process
+itself, so a fan-out over one worker forks no child (whose memory
+tracemalloc would not see)."""
 
 import os
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fwdreg import parallel_csv
-from fwdreg.cli import _fan_out, read_dataset, run_rates
+from fwdreg import parallel
+from fwdreg.cli import read_dataset, run_rates
 from fwdreg.core_linalg import column_moments, gram
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, simulate_dataset
@@ -69,7 +68,7 @@ def _assert_read_peak_is_near_two_tables(path):
 
 
 def test_read_dataset_peak_is_near_two_tables(wide_csv, monkeypatch):
-    monkeypatch.setattr(parallel_csv, "PARSE_CHUNK_BYTES", 1 << 62)  # the serial parse
+    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", 1 << 62)  # the serial parse
     _assert_read_peak_is_near_two_tables(wide_csv)
 
 
@@ -77,7 +76,7 @@ def test_parallel_read_dataset_peak_is_near_two_tables(wide_csv, monkeypatch):
     """The parallel parse allocates the design and its own chunk; the
     child's chunk (one here, over two CPUs) is copied in from a mapped
     memory file, which tracemalloc does not see."""
-    monkeypatch.setattr(parallel_csv, "PARSE_CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", 1 << 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = []
     fork = os.fork
@@ -144,9 +143,13 @@ def test_exact_sparse_eig_works_in_cache_sized_pieces():
     assert peak < 1_300_000, f"peak {peak / 1e6:.2f} MB"
 
 
-def test_one_thread_fans_out_on_the_calling_thread():
-    caller = threading.get_ident()
-    assert _fan_out(lambda job: (job, threading.get_ident()), [0, 1, 2], 1) == [
+def test_one_worker_fans_out_in_the_calling_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    caller = os.getpid()
+    assert parallel.fan_out(lambda job: (job, os.getpid()), [0, 1, 2], 1) == [
         (0, caller), (1, caller), (2, caller)]
 
     raised = KeyError("job 1")
@@ -157,7 +160,7 @@ def test_one_thread_fans_out_on_the_calling_thread():
         return job
 
     with pytest.raises(KeyError) as exc:
-        _fan_out(worker, [0, 1, 2], 1)
+        parallel.fan_out(worker, [0, 1, 2], 1)
     assert exc.value is raised
 
 

@@ -1,7 +1,10 @@
-"""The parallel CSV parse: forced onto small files by shrinking
-PARSE_CHUNK_BYTES and claiming three CPUs, it must give the serial parse's
-names and arrays bit for bit, the serial parse's errors, and leave no
-child process behind."""
+"""The forked fan-out and the parallel CSV parse built on it.
+
+fan_out, on three claimed CPUs, must give the serial run's results in job
+order, and the serial run's error, whatever fails in a child. The parse,
+forced onto small files by shrinking PARSE_CHUNK_BYTES, must give the
+serial parse's names and arrays bit for bit and the serial parse's
+errors. Neither may leave a child process behind."""
 
 import codecs
 import errno
@@ -9,25 +12,24 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fwdreg import cli, parallel_csv
+from fwdreg import parallel
 from fwdreg.cli import EXIT_INPUT, EXIT_OK, main, read_csv
 from helpers import child_env
 
 
 @pytest.fixture
-def spy(monkeypatch):
-    """Force the parallel parse. ``pids`` are the children it forks, and
-    ``parallel`` says of each read whether it gave the result, rather than
-    the serial parse."""
-    monkeypatch.setattr(parallel_csv, "PARSE_CHUNK_BYTES", 1)
+def forks(monkeypatch):
+    """Claim three CPUs and record the children forked: ``pids``."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    seen = SimpleNamespace(pids=[], parallel=[])
-    fork, parse = os.fork, parallel_csv.parse_in_parallel
+    seen = SimpleNamespace(pids=[])
+    fork = os.fork
 
     def counted_fork():
         pid = fork()
@@ -35,21 +37,33 @@ def spy(monkeypatch):
             seen.pids.append(pid)
         return pid
 
-    def watched_parse(*args):
-        result = parse(*args)
-        seen.parallel.append(result is not None)
-        return result
-
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(parallel_csv, "parse_in_parallel", watched_parse)
     yield seen
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def spy(forks, monkeypatch):
+    """Force the parallel parse. ``pids`` are the children it forks, and
+    ``parallel`` says of each read whether it gave the result, rather than
+    the serial parse."""
+    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", 1)
+    forks.parallel = []
+    parse = parallel.parse_in_parallel
+
+    def watched_parse(*args):
+        result = parse(*args)
+        forks.parallel.append(result is not None)
+        return result
+
+    monkeypatch.setattr(parallel, "parse_in_parallel", watched_parse)
+    return forks
+
+
 def serial(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parallel_csv, "PARSE_CHUNK_BYTES", 1 << 62)
+        mp.setattr(parallel, "PARSE_CHUNK_BYTES", 1 << 62)
         return fn(*args)
 
 
@@ -208,10 +222,14 @@ def test_every_chunk_ragged_alike_is_the_serial_error(tmp_path, spy):
     assert str(parallel.value) == str(plain.value)
 
 
-@pytest.mark.parametrize("fault", ["exit", "signal", "exit_after_sending", "short_payload"])
-def test_failed_child_falls_back_to_the_serial_parse(tmp_path, spy, monkeypatch, fault):
-    path = write(tmp_path / "d.csv", HEADERS["y_inside"], cells())
-    fork, exit_, send = os.fork, os._exit, parallel_csv._send_chunk
+FAULTS = ["exit", "signal", "exit_after_sending", "short_payload"]
+
+
+def inject(monkeypatch, fault):
+    """Make every forked child fail by ``fault``: exit or die before it
+    runs a job, exit non-zero after sending its results, or send a
+    payload 8 bytes short."""
+    fork, exit_, send = os.fork, os._exit, parallel._send
 
     def dying_fork():
         pid = fork()
@@ -231,9 +249,29 @@ def test_failed_child_falls_back_to_the_serial_parse(tmp_path, spy, monkeypatch,
     if fault == "exit_after_sending":  # only a child calls os._exit
         monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
     if fault == "short_payload":
-        monkeypatch.setattr(parallel_csv, "_send_chunk", send_short)
+        monkeypatch.setattr(parallel, "_send", send_short)
+
+
+def fail_fork_after_one(monkeypatch, pids):
+    """Let the first fork through and fail every later one."""
+    fork = os.fork
+
+    def fork_once():
+        if pids:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failed_child_falls_back_to_the_serial_parse(tmp_path, spy, monkeypatch, fault):
+    """fan_out then parses every chunk in this process, so the parse still
+    gives its arrays, which are the serial parse's."""
+    path = write(tmp_path / "d.csv", HEADERS["y_inside"], cells())
+    inject(monkeypatch, fault)
     got = read_csv(path)
-    assert spy.pids and spy.parallel == [False]
+    assert spy.pids and spy.parallel == [True]
     assert_same(got, serial(read_csv, path))
 
 
@@ -248,15 +286,14 @@ def test_line_start(tmp_path, data, pos, start):
     path = tmp_path / "lines"
     path.write_bytes(data)
     with open(path, "rb") as raw:
-        assert parallel_csv._line_start(raw, pos) == start
+        assert parallel._line_start(raw, pos) == start
 
 
 _ORPHANS_SCRIPT = """
-import os, sys
-from fwdreg import cli, parallel_csv
-parallel_csv.PARSE_CHUNK_BYTES = 1
+import os, time
+from fwdreg import parallel
 os.sched_getaffinity = lambda pid: {0, 1, 2}
-fork, parse, parent = os.fork, parallel_csv._parse_chunk, os.getpid()
+fork, parent = os.fork, os.getpid()
 
 def reported_fork():
     pid = fork()
@@ -264,23 +301,22 @@ def reported_fork():
         print(pid, flush=True)
     return pid
 
-def parse_or_die(*args):
+def job(i):
     if os.getpid() == parent:
-        os._exit(0)  # the parent dies while its children parse
-    return parse(*args)
+        os._exit(0)  # the parent dies while its children run their jobs
+    time.sleep(0.2)
+    return [float(i)] * 1000
 
-os.fork, parallel_csv._parse_chunk = reported_fork, parse_or_die
-cli.read_csv(sys.argv[1])
+os.fork = reported_fork
+parallel.fan_out(job, range(6), 3)
 """
 
 
-def test_children_of_a_dead_parent_exit(tmp_path):
-    """A child whose parent is gone still finishes and exits, so it
-    closes the stdout it inherited."""
-    rows = cells(rows=1000, cols=40)
-    path = write(tmp_path / "d.csv", [f"x{j}" for j in range(40)], rows)
+def test_children_of_a_dead_parent_exit():
+    """A child whose parent is gone still finishes its jobs and exits, so
+    it closes the stdout it inherited."""
     try:
-        done = subprocess.run([sys.executable, "-c", _ORPHANS_SCRIPT, path],
+        done = subprocess.run([sys.executable, "-c", _ORPHANS_SCRIPT],
                               capture_output=True, text=True, timeout=60, env=child_env())
     except subprocess.TimeoutExpired as exc:
         for pid in (exc.stdout or b"").split():
@@ -292,16 +328,9 @@ def test_children_of_a_dead_parent_exit(tmp_path):
 
 def test_failed_fork_falls_back_to_the_serial_parse(tmp_path, spy, monkeypatch):
     path = write(tmp_path / "d.csv", HEADERS["y_first"], cells())
-    fork = os.fork
-
-    def fork_once():
-        if spy.pids:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_once)
+    fail_fork_after_one(monkeypatch, spy.pids)
     got = read_csv(path)
-    assert len(spy.pids) == 1 and spy.parallel == [False]
+    assert len(spy.pids) == 1 and spy.parallel == [True]
     assert_same(got, serial(read_csv, path))
 
 
@@ -323,7 +352,7 @@ def test_fifo_is_parsed_serially(tmp_path, spy):
 
 def test_small_file_is_parsed_serially(tmp_path, spy, monkeypatch):
     path = write(tmp_path / "d.csv", HEADERS["y_last"], cells())
-    monkeypatch.setattr(parallel_csv, "PARSE_CHUNK_BYTES", os.path.getsize(path) // 2)
+    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", os.path.getsize(path) // 2)
     read_csv(path)
     assert not spy.pids and spy.parallel == [False]
 
@@ -342,3 +371,117 @@ def test_commands_report_alike_and_leave_no_child(tmp_path, spy, command):
     rows[50][0] = "oops"
     bad = write(tmp_path / "bad.csv", HEADERS["y_inside"], rows)
     assert main([*command, "-i", bad, "-o", str(out)]) == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# fan_out on its own
+
+
+def tagged(job):
+    """A job's number and the process that ran it."""
+    return job, os.getpid()
+
+
+def array_job(job):
+    """A C- or F-ordered array of job-seeded normals, and the job."""
+    cells = np.random.default_rng(job).standard_normal((40, 7))
+    return job, np.asfortranarray(cells) if job % 2 else cells
+
+
+def assert_arrays_are_serial(got, jobs):
+    want = [array_job(job) for job in jobs]
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.shape == b.shape and a.strides == b.strides
+        assert a.tobytes("A") == b.tobytes("A")
+
+
+@pytest.mark.parametrize("workers, jobs", [(2, 5), (3, 6), (3, 7), (3, 2)])
+def test_results_come_back_in_job_order(forks, workers, jobs):
+    """Child w runs jobs w, w + count, ..., this process jobs 0, count, ...;
+    with 7 jobs over 3 processes the shares are 3, 2 and 2 jobs long."""
+    got = parallel.fan_out(tagged, range(jobs), workers)
+    count = min(workers, jobs)
+    assert [job for job, _pid in got] == list(range(jobs))
+    runners = [os.getpid(), *forks.pids]
+    assert len(runners) == count
+    assert [pid for _job, pid in got] == [runners[job % count] for job in range(jobs)]
+
+
+def test_workers_are_capped_by_the_usable_cpus(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    got = parallel.fan_out(tagged, range(8), 8)
+    assert len(forks.pids) == 1
+    assert [job for job, _pid in got] == list(range(8))
+
+
+def test_array_results_come_back_bit_identical_and_read_only(forks):
+    got = parallel.fan_out(array_job, range(6), 3)
+    assert len(forks.pids) == 2
+    assert_arrays_are_serial(got, range(6))
+    # jobs 0 and 3 ran here; the others are mapped from a child's payload
+    assert [a.flags.writeable for _job, a in got] == [job % 3 == 0 for job in range(6)]
+
+
+@pytest.mark.parametrize("failing", [{4, 5}, {2, 4}, {3, 5}],
+                         ids=["child_job_4", "second_child_job_2", "own_job_3"])
+def test_a_failing_job_raises_the_serial_error(forks, failing):
+    """Over 3 processes jobs 1 and 4 run in the first child, 2 and 5 in the
+    second and 0 and 3 here; the error is always the first failing job's
+    in job order, as the serial run raises it."""
+    def worker(job):
+        if job in failing:
+            raise KeyError(f"job {job} failed")
+        return job
+
+    with pytest.raises(KeyError) as fanned:
+        parallel.fan_out(worker, range(6), 3)
+    with pytest.raises(KeyError) as plain:
+        [worker(job) for job in range(6)]
+    assert forks.pids
+    assert type(fanned.value) is type(plain.value)
+    assert str(fanned.value) == str(plain.value) == repr(f"job {min(failing)} failed")
+
+
+def test_a_failure_here_kills_the_children(forks):
+    """Job 0 fails in this process while job 1 would keep its child busy
+    for a minute: the child is killed, not waited for."""
+    def worker(job):
+        if job == 0:
+            raise KeyError("job 0 failed")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="job 0 failed"):
+        parallel.fan_out(worker, range(2), 2)
+    assert len(forks.pids) == 1
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failed_child_gives_the_serial_results(forks, monkeypatch, fault):
+    inject(monkeypatch, fault)
+    got = parallel.fan_out(array_job, range(6), 3)
+    assert len(forks.pids) == 2
+    assert_arrays_are_serial(got, range(6))
+    assert all(a.flags.writeable for _job, a in got)  # all ran in this process
+
+
+def test_failed_fork_gives_the_serial_results(forks, monkeypatch):
+    fail_fork_after_one(monkeypatch, forks.pids)
+    got = parallel.fan_out(tagged, range(6), 3)
+    assert len(forks.pids) == 1
+    assert got == [(job, os.getpid()) for job in range(6)]
+
+
+def test_nothing_is_forked_while_another_thread_runs(forks):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = parallel.fan_out(tagged, range(4), 2)
+    finally:
+        stop.set()
+        thread.join()
+    assert not forks.pids
+    assert got == [(job, os.getpid()) for job in range(4)]
