@@ -400,7 +400,9 @@ def test_negative_seed_rejected(tmp_path, capsys, command, config_seed, flags, m
     out = tmp_path / "out"
     code = main([command, *source, *flags, "-o", str(out)])
     assert code == EXIT_INPUT
-    assert f"error: {message}" in capsys.readouterr().err
+    # an error in the config file names the file; one in a flag does not
+    where = f"{cfg}: " if config_seed < 0 else ""
+    assert f"error: {where}{message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -426,7 +428,36 @@ def test_unsimulable_config_rejected(tmp_path, capsys, command, flags, config, m
     code = main([command, "--config", str(cfg), *flags, "-o", str(out)])
     assert code == EXIT_INPUT
     captured = capsys.readouterr()
-    assert f"error: {message}" in captured.err
+    assert f"error: {cfg}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("verify", ["--replications", "2"]),
+     ("rates", ["--n-grid", "50,60,70,80", "--replications", "2"])],
+    ids=["verify", "rates"],
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [(b'{"n": 50,\n}', "Expecting property name enclosed in double quotes: "
+                       "line 2 column 1 (char 10)"),
+     (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+     (b'{"n": 50, "p": 8, "s0": 2, "seed": 1, "rho": 1e400}',
+      "rho must be a finite real number, got inf"),
+     # json itself keeps the last value, which ran the sweep at n = 60
+     (b'{"n": 50, "p": 8, "s0": 2, "seed": 1, "n": 60}', "duplicate key 'n'")],
+    ids=["malformed", "not-utf8", "infinite-rho", "duplicate-key"],
+)
+def test_bad_config_file_is_named(tmp_path, capsys, command, flags, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), *flags, "-o", str(out)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: {message}\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -24,7 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fwdreg import parallel
+from fwdreg import cli, parallel
 from fwdreg.cli import read_dataset, run_rates
 from fwdreg.core_linalg import column_moments, gram
 from fwdreg.forward_select import forward_regression
@@ -68,7 +68,7 @@ def _assert_read_peak_is_near_two_tables(path):
 
 
 def test_read_dataset_peak_is_near_two_tables(wide_csv, monkeypatch):
-    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", 1 << 62)  # the serial parse
+    monkeypatch.setattr(cli, "PARSE_CHUNK_BYTES", 1 << 62)  # the serial parse
     _assert_read_peak_is_near_two_tables(wide_csv)
 
 
@@ -76,7 +76,7 @@ def test_parallel_read_dataset_peak_is_near_two_tables(wide_csv, monkeypatch):
     """The parallel parse allocates the design and its own chunk; the
     child's chunk (one here, over two CPUs) is copied in from a mapped
     memory file, which tracemalloc does not see."""
-    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(cli, "PARSE_CHUNK_BYTES", 1 << 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = []
     fork = os.fork

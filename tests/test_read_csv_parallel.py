@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fwdreg import parallel
+from fwdreg import cli, parallel
 from fwdreg.cli import EXIT_INPUT, EXIT_OK, main, read_csv
 from helpers import child_env
 
@@ -48,22 +48,22 @@ def spy(forks, monkeypatch):
     """Force the parallel parse. ``pids`` are the children it forks, and
     ``parallel`` says of each read whether it gave the result, rather than
     the serial parse."""
-    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", 1)
+    monkeypatch.setattr(cli, "PARSE_CHUNK_BYTES", 1)
     forks.parallel = []
-    parse = parallel.parse_in_parallel
+    parse = cli.parse_in_parallel
 
     def watched_parse(*args):
         result = parse(*args)
         forks.parallel.append(result is not None)
         return result
 
-    monkeypatch.setattr(parallel, "parse_in_parallel", watched_parse)
+    monkeypatch.setattr(cli, "parse_in_parallel", watched_parse)
     return forks
 
 
 def serial(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parallel, "PARSE_CHUNK_BYTES", 1 << 62)
+        mp.setattr(cli, "PARSE_CHUNK_BYTES", 1 << 62)
         return fn(*args)
 
 
@@ -286,7 +286,7 @@ def test_line_start(tmp_path, data, pos, start):
     path = tmp_path / "lines"
     path.write_bytes(data)
     with open(path, "rb") as raw:
-        assert parallel._line_start(raw, pos) == start
+        assert cli._line_start(raw, pos) == start
 
 
 _ORPHANS_SCRIPT = """
@@ -352,7 +352,7 @@ def test_fifo_is_parsed_serially(tmp_path, spy):
 
 def test_small_file_is_parsed_serially(tmp_path, spy, monkeypatch):
     path = write(tmp_path / "d.csv", HEADERS["y_last"], cells())
-    monkeypatch.setattr(parallel, "PARSE_CHUNK_BYTES", os.path.getsize(path) // 2)
+    monkeypatch.setattr(cli, "PARSE_CHUNK_BYTES", os.path.getsize(path) // 2)
     read_csv(path)
     assert not spy.pids and spy.parallel == [False]
 

@@ -430,7 +430,7 @@ class TestSparseEigSampled:
 
 class TestExchangeDescent:
     """Properties of the exchange descent of sparse_eig_sampled on the
-    tie-heavy integer Grams, and its two numerical edge cases."""
+    tie-heavy integer Grams, and its three numerical edge cases."""
 
     @given(integer_grams())
     def test_stays_an_upper_bound(self, case):
@@ -469,6 +469,27 @@ class TestExchangeDescent:
         assert rep == sparse_eig_sampled_plain(g, 3)
         assert rep.value == pytest.approx(0.0, abs=1e-12)
         assert rep.value == sparse_eig_bruteforce(g, 3).value
+
+    def test_swap_no_lower_than_the_incumbent_ends_the_descent(self, monkeypatch):
+        # the Rayleigh bound lies above the swap's lambda_min, so only
+        # rounding can make the solved swap come out no lower than the
+        # incumbent; here eigh reports the incumbent's lambda for it. On
+        # this Gram the descent makes one swap (see
+        # TestSparseEigSampled.test_descent_reaches_exact_on_small_gram)
+        g = random_gram(np.random.default_rng(3), 20, 10)
+        start = theory_bounds._lowest(g, theory_bounds._partner_groups(g, 4))
+        assert theory_bounds._descend(g, 4, start)[0][0] < start[0]
+        eigh, lams_seen = np.linalg.eigh, []
+
+        def no_lower(a):
+            lams, vecs = eigh(a)
+            lams_seen.append(lams[0])
+            if len(lams_seen) == 2:  # the swap, after the incumbent
+                lams[0] = lams_seen[0]
+            return lams, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", no_lower)
+        assert theory_bounds._descend(g, 4, start) == (start, 1)
 
     def test_concentrated_eigenvector_has_no_trial_vector(self):
         # column 0 is uncorrelated with the rest and has the smallest
