@@ -37,7 +37,7 @@ from .core_linalg import (
     least_squares_on_support,
     standardize,
 )
-from .errors import BudgetExceeded, FwdregError, ZeroVarianceColumn
+from .errors import BudgetExceeded, ColumnError, FwdregError, ZeroVarianceColumn
 from .forward_select import FitResult, forward_regression
 from .simulate import SimConfig, nested_samples, oracle_threshold, simulate_dataset
 
@@ -292,15 +292,15 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
 def _standardize_csv(path: str, names: Sequence[str], x: np.ndarray,
                     yi: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """standardize(x) for a design that read_csv returned with ``names`` and
-    ``yi``; a constant column is named by its header name and its 1-based
-    column in the file."""
+    ``yi``; a constant or overflowing column is named by its header name
+    and its 1-based column in the file."""
     try:
         return standardize(x)
-    except ZeroVarianceColumn as exc:
+    except ColumnError as exc:
         j = exc.column
         column = j + 1 + (yi is not None and j >= yi)
-        raise ZeroVarianceColumn(j, f"{path}: column {names[j]!r} (CSV column {column}) "
-                                    "has zero sample variance") from None
+        raise type(exc)(j, f"{path}: column {names[j]!r} (CSV column {column}) "
+                           f"{exc.reason}") from None
 
 
 def read_dataset(path: str) -> tuple[list[str], Dataset, np.ndarray, np.ndarray, float]:
@@ -310,8 +310,10 @@ def read_dataset(path: str) -> tuple[list[str], Dataset, np.ndarray, np.ndarray,
     if y is None:
         raise ValueError(f"{path}: no response column named 'y'")
     mean, scale = _standardize_csv(path, names, x, yi)
-    y_mean = float(y.mean())
-    return names, Dataset(x=x, y=y - y_mean), mean, scale, y_mean
+    with np.errstate(over="ignore", invalid="ignore"):  # forward_regression reports it
+        y_mean = float(y.mean())
+        y -= y_mean
+    return names, Dataset(x=x, y=y), mean, scale, y_mean
 
 
 # ---------------------------------------------------------------------------

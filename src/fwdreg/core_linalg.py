@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     CollinearCandidate,
+    OverflowingColumn,
     RankDeficientSupport,
     ZeroVarianceColumn,
 )
@@ -72,6 +73,7 @@ class Dataset:
         return self.x.shape[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and sqrt of the biased (1/n) central second moment.
 
@@ -87,9 +89,11 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block in order.
 
     Raises ValueError unless ``raw`` is a 2-d matrix with at least two
-    rows, and ZeroVarianceColumn for a constant column (scale within
-    rounding of zero relative to its mean); the caller must drop it or
-    fail.
+    rows, OverflowingColumn for a column whose mean or second moment
+    overflows float64 (numpy's overflow warnings are silenced, since this
+    names the column), and ZeroVarianceColumn for a constant column (scale
+    within rounding of zero relative to its mean); the caller must drop it
+    or fail.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
@@ -121,6 +125,9 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             second[lo:hi] = dev.mean(axis=0)
             del dev  # before the next block is allocated
     scale = np.sqrt(second)
+    over = np.flatnonzero(~np.isfinite(scale))
+    if over.size:
+        raise OverflowingColumn(int(over[0]))
     bad = np.flatnonzero(scale <= 1e-13 * (np.abs(mean) + 1.0))
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
@@ -143,15 +150,6 @@ def standardize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raw -= mean
     raw /= scale
     return mean, scale
-
-
-def is_standardized(x: np.ndarray) -> bool:
-    """True when every column is centered and has unit second moment."""
-    second = np.einsum("ij,ij->j", x, x) / x.shape[0]
-    return bool(
-        np.max(np.abs(x.mean(axis=0))) <= STANDARDIZED_TOL
-        and np.max(np.abs(second - 1.0)) <= STANDARDIZED_TOL
-    )
 
 
 def gram(x: np.ndarray) -> np.ndarray:

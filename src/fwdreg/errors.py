@@ -5,15 +5,34 @@ class FwdregError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroVarianceColumn(FwdregError):
-    """A covariate column is constant and cannot be standardized."""
+class ColumnError(FwdregError):
+    """Covariate column ``column`` (0-based) cannot be standardized."""
+
+    reason = "cannot be standardized"
 
     def __init__(self, column: int, message: str = ""):
         self.column = column
-        super().__init__(message or f"column {column} has zero sample variance")
+        super().__init__(message or f"column {column} {self.reason}")
 
     def __reduce__(self):
         return type(self), (self.column, *self.args)
+
+
+class ZeroVarianceColumn(ColumnError):
+    """A covariate column is constant and cannot be standardized."""
+
+    reason = "has zero sample variance"
+
+
+class OverflowingColumn(ColumnError):
+    """A covariate column's second moment overflows float64."""
+
+    reason = "is too large to standardize: its second moment overflows float64"
+
+
+class NumericOverflow(FwdregError):
+    """A value that a fit, its oracle threshold or a simulated response needs
+    overflows float64."""
 
 
 class RankDeficientSupport(FwdregError):

@@ -17,16 +17,16 @@ import numpy as np
 
 from .core_linalg import (
     COLLINEAR_TOL,
+    STANDARDIZED_TOL,
     Dataset,
     OrthoState,
     _residualize,
     en_dot,
     initial_state,
-    is_standardized,
     least_squares_on_support,
     ortho_extend,
 )
-from .errors import NotStandardized
+from .errors import NotStandardized, NumericOverflow
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class FitResult:
         return len(self.support)
 
 
-def score_all(state: OrthoState, ds: Dataset) -> np.ndarray:
+def score_all(state: OrthoState) -> np.ndarray:
     """Gain -Delta_j l(S) for every candidate column.
 
     Entry j is (E_n[x~_ij r_i])^2 / E_n[x~_ij^2] where x~_j is column j
@@ -71,7 +71,7 @@ def score_all(state: OrthoState, ds: Dataset) -> np.ndarray:
     """
     num = state.corr
     denom = state.col_norm2
-    scores = np.full(ds.p, -np.inf)
+    scores = np.full(num.shape[0], -np.inf)
     usable = denom > COLLINEAR_TOL
     scores[usable] = num[usable] ** 2 / denom[usable]
     if state.support:
@@ -91,16 +91,25 @@ def forward_regression(ds: Dataset, t: float) -> FitResult:
     accepted, since the carried norms lose digits near collinearity; if
     that moves the leader, the argmax is taken again. Selected columns
     score -inf, so the loop ends within p steps.
+
+    Raises NotStandardized unless every column has mean 0 and (1/n)
+    second moment 1 to STANDARDIZED_TOL, and NumericOverflow when the
+    starting loss E_n[y^2] overflows float64.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"threshold t must be finite and positive, got {t}")
-    if not is_standardized(ds.x):
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NumericOverflow
+        state = initial_state(ds)
+    if not (np.max(np.abs(ds.x.mean(axis=0))) <= STANDARDIZED_TOL
+            and np.max(np.abs(state.col_norm2 - 1.0)) <= STANDARDIZED_TOL):
         raise NotStandardized("columns must be centered with unit second moment")
+    if not math.isfinite(state.residual_loss):
+        raise NumericOverflow("the response is too large: its (1/n) second moment "
+                              "E_n[y^2] overflows float64")
 
-    state = initial_state(ds)
     steps: list[SelectionStep] = []
     while True:
-        scores = score_all(state, ds)
+        scores = score_all(state)
         exact: set[int] = set()
         best = int(np.argmax(scores))
         while best not in exact and scores[best] > -np.inf:
@@ -138,9 +147,10 @@ def parameter_errors(
 ) -> tuple[float, float, float]:
     """l2 and l1 coefficient errors plus the prediction error norm
     E_n[(x_i'(theta0 - theta_hat))^2]^{1/2}."""
-    d = np.asarray(theta0, dtype=float) - theta_hat
-    if d.shape[0] != ds.p:
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape[0] != ds.p:
         raise ValueError("theta0 length must match the number of covariates")
+    d = theta0 - theta_hat
     fit_gap = ds.x @ d
     pred = float(np.sqrt((fit_gap * fit_gap).mean()))
     return float(np.linalg.norm(d)), float(np.abs(d).sum()), pred

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core_linalg import Dataset, standardize
-from .errors import NonpositiveEigenvalue
+from .errors import NonpositiveEigenvalue, NumericOverflow
 from .theory_bounds import noise_covariate_sup
 
 DESIGNS = ("independent", "equicorrelated", "toeplitz")
@@ -126,6 +126,7 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
 
     The true support is a seeded random subset of the columns (not the
     leading ones, to avoid accidental alignment with index tie-breaking).
+    Raises NumericOverflow when a stored y overflows float64.
     """
     rng = np.random.default_rng(cfg.seed)
     # the draw is correlated and then standardized in place
@@ -134,11 +135,16 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
         _ar1_columns(x, cfg.rho)
     elif cfg.rho != 0.0 and cfg.design == "equicorrelated":
         _equicorrelated_columns(x, cfg.rho)
-    epsilon = cfg.noise_sd * rng.standard_normal(cfg.n)
-    support = np.sort(rng.choice(cfg.p, size=cfg.s0, replace=False))
-    theta0 = np.zeros(cfg.p)
-    theta0[support] = _theta_values(cfg)
-    return _standardized_model(x, theta0, epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        epsilon = cfg.noise_sd * rng.standard_normal(cfg.n)
+        support = np.sort(rng.choice(cfg.p, size=cfg.s0, replace=False))
+        theta0 = np.zeros(cfg.p)
+        theta0[support] = _theta_values(cfg)
+        ds = _standardized_model(x, theta0, epsilon)
+    if not np.isfinite(ds.y).all():
+        raise NumericOverflow("the simulated response y overflows float64; "
+                              "lower c or noise_sd")
+    return ds
 
 
 def nested_samples(cfg: SimConfig, sizes: Sequence[int]) -> Iterator[Dataset]:
@@ -172,7 +178,8 @@ def oracle_threshold(ds: Dataset, phi: float, safety: float = 1.0) -> float:
 
     Uses the true disturbances, available only in simulation; this
     deliberately isolates bound verification from feasible threshold
-    selection. A degenerate t below THRESHOLD_FLOOR is floored.
+    selection. A degenerate t below THRESHOLD_FLOOR is floored, and a t
+    that overflows float64 raises NumericOverflow.
     """
     noise_sup = noise_covariate_sup(ds)
     if phi <= 0:
@@ -183,4 +190,11 @@ def oracle_threshold(ds: Dataset, phi: float, safety: float = 1.0) -> float:
         )
     if not (math.isfinite(safety) and safety >= 1):
         raise ValueError(f"safety factor must be finite and >= 1, got {safety}")
-    return max((safety * 2.0 * noise_sup / phi) ** 2, THRESHOLD_FLOOR)
+    try:
+        t = (safety * 2.0 * noise_sup / phi) ** 2
+    except OverflowError:  # a float's ** raises where numpy would give inf
+        t = math.inf
+    if not math.isfinite(t):
+        raise NumericOverflow(f"the oracle threshold t overflows float64 (noise sup-norm "
+                              f"||E_n[x_i eps_i]||_inf = {noise_sup!r}, phi = {phi!r})")
+    return max(t, THRESHOLD_FLOOR)

@@ -50,7 +50,7 @@ def test_criterion_1_oracle_equivalence():
         state = initial_state(ds)
         for j in support:
             state = ortho_extend(state, j, ds)
-        scores = score_all(state, ds)
+        scores = score_all(state)
         for j in range(p):
             if j in support or not np.isfinite(scores[j]):
                 continue

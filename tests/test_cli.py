@@ -312,6 +312,70 @@ def test_constant_column_is_named(tmp_path, capsys, argv, header, name, column):
     assert not out.exists()
 
 
+_OVERFLOW_COLUMN = [[1.0, 1e200, 2.0], [-1.0, -1e200, 1.0], [3.0, 3e200, 5.0], [2.0, 4.0, 4.0]]
+_OVERFLOW_Y = [[1e200, 1.0, 2.0], [-1e200, -1.0, 1.0], [3e200, 3.0, 5.0], [2.0, 4.0, 4.0]]
+_COLUMN_MESSAGE = ("{path}: column 'a' (CSV column 2) is too large to standardize: "
+                   "its second moment overflows float64")
+_Y_MESSAGE = "the response is too large: its (1/n) second moment E_n[y^2] overflows float64"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, rows, message",
+    [
+        (["sparse-eig", "--s", "2"], _OVERFLOW_COLUMN, _COLUMN_MESSAGE),
+        (["fit", "-t", "0.1"], _OVERFLOW_COLUMN, _COLUMN_MESSAGE),
+        (["compare", "-t", "0.1"], _OVERFLOW_COLUMN, _COLUMN_MESSAGE),
+        (["fit", "-t", "0.1"], _OVERFLOW_Y, _Y_MESSAGE),
+        (["compare", "-t", "0.1"], _OVERFLOW_Y, _Y_MESSAGE),
+    ],
+    ids=["sparse_eig_column", "fit_column", "compare_column", "fit_y", "compare_y"],
+)
+def test_overflowing_csv_rejected(tmp_path, capsys, argv, rows, message):
+    """A column or a response too large to square in float64 exits 2 with
+    one error line and no numpy warning (made an error here), where
+    sparse-eig used to report phi = 0 for a column standardized to zeros
+    and fit to raise OverflowError."""
+    path = tmp_path / "big.csv"
+    write_rows(path, ["y", "a", "b"], rows)
+    out = tmp_path / "o.json"
+    assert main([*argv, "-i", str(path), "-o", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(path=path)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, flags",
+    [("verify", ["--replications", "2"]),
+     ("rates", ["--n-grid", "10,15,20,30", "--replications", "2"])],
+    ids=["verify", "rates"],
+)
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("c", 1e200, _Y_MESSAGE),
+     ("noise_sd", 1e300, "the oracle threshold t overflows float64 (noise sup-norm "
+                         "||E_n[x_i eps_i]||_inf = "),
+     ("c", 1e308, "the simulated response y overflows float64; lower c or noise_sd")],
+    ids=["c", "noise_sd", "c_past_float64"],
+)
+def test_overflowing_simulation_rejected(tmp_path, capsys, command, flags, field, value,
+                                         message):
+    """A finite config whose model overflows float64 exits 2 with one error
+    line, where the fit or the oracle threshold used to raise OverflowError."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 30, "p": 4, "s0": 2, field: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), *flags, "-o", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 _DEV_MODE_SCRIPT = """
 import sys
 import fwdreg.cli

@@ -16,6 +16,7 @@ from fwdreg.core_linalg import (
 )
 from fwdreg.errors import (
     CollinearCandidate,
+    OverflowingColumn,
     RankDeficientSupport,
     ZeroVarianceColumn,
 )
@@ -44,6 +45,23 @@ class TestStandardize:
             standardize(raw)
         assert exc.value.column == 0
         assert raw.tobytes() == before.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("big", [[1e200, -1e200, 3e200, 4.0], [1.7e308, 1.7e308, 1.6e308, 1.0]],
+                             ids=["second_moment", "mean"])
+    def test_overflowing_column(self, order, big):
+        """A column whose second moment, or whose mean, overflows float64 is
+        named, in either memory order, without numpy's overflow warnings; a
+        column mean of inf is not taken for zero variance."""
+        raw = np.asarray(np.column_stack([[1.0, -1.0, 3.0, 2.0], big, [2.0, 1.0, 5.0, 4.0]]),
+                         order=order)
+        before = raw.copy(order="K")
+        with pytest.raises(OverflowingColumn, match="^column 1 is too large to standardize: "
+                                                    "its second moment overflows float64$") as exc:
+            column_moments(raw)
+        assert exc.value.column == 1
+        assert raw.tobytes(order="A") == before.tobytes(order="A")
 
     def test_postconditions(self):
         rng = np.random.default_rng(1)

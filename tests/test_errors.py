@@ -7,7 +7,9 @@ from fwdreg.errors import FwdregError
 
 # constructor arguments of the errors that take more than a message
 ARGS = {
+    errors.ColumnError: (3,),
     errors.ZeroVarianceColumn: (3,),
+    errors.OverflowingColumn: (3,),
     errors.CollinearCandidate: (5,),
     errors.BudgetExceeded: ("C(40, 6) = 3838380 subsets exceed the budget", 6),
 }

@@ -15,7 +15,7 @@ from fwdreg.core_linalg import (
     ortho_extend,
     standardize,
 )
-from fwdreg.errors import CollinearCandidate, NotStandardized
+from fwdreg.errors import CollinearCandidate, NotStandardized, NumericOverflow
 from fwdreg.forward_select import forward_regression, parameter_errors, score_all
 from fwdreg.oracle import naive_delta_loss
 from fwdreg.theory_bounds import sparse_eig_exact
@@ -28,7 +28,7 @@ class TestScoreAll:
         x = orthonormal_design(rng, 30, 5)
         y = rng.standard_normal(30)
         ds = Dataset(x=x, y=y)
-        scores = score_all(initial_state(ds), ds)
+        scores = score_all(initial_state(ds))
         expected = (x.T @ y / 30) ** 2
         np.testing.assert_allclose(scores, expected, rtol=1e-10)
 
@@ -36,7 +36,7 @@ class TestScoreAll:
         rng = np.random.default_rng(1)
         ds = random_standardized_dataset(rng, 30, 6)
         state = ortho_extend(initial_state(ds), 2, ds)
-        scores = score_all(state, ds)
+        scores = score_all(state)
         assert scores[2] == -np.inf
 
     def test_matches_refit_difference(self):
@@ -46,7 +46,7 @@ class TestScoreAll:
         state = initial_state(ds)
         for j in [1, 5, 9]:
             state = ortho_extend(state, j, ds)
-        scores = score_all(state, ds)
+        scores = score_all(state)
         _, loss_s = least_squares_on_support(ds, state.support)
         for j in range(12):
             if not np.isfinite(scores[j]):
@@ -81,6 +81,46 @@ class TestForwardRegression:
         ds = Dataset(x=x, y=rng.standard_normal(30))
         with pytest.raises(NotStandardized):
             forward_regression(ds, t=0.1)
+
+    @pytest.mark.parametrize("factor, ok", [(1 + 0.4e-8, True), (1 + 2e-8, False), (2.0, False)])
+    def test_second_moment_tolerance(self, factor, ok):
+        """A centred design passes when every (1/n) second moment is within
+        STANDARDIZED_TOL = 1e-8 of 1 and is refused otherwise."""
+        rng = np.random.default_rng(5)
+        ds = random_standardized_dataset(rng, 30, 4)
+        scaled = Dataset(x=ds.x * np.sqrt(factor), y=ds.y)
+        if ok:
+            forward_regression(scaled, t=0.1)
+        else:
+            with pytest.raises(NotStandardized,
+                               match="columns must be centered with unit second moment"):
+                forward_regression(scaled, t=0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_response_rejected(self):
+        """A starting loss E_n[y^2] past float64 is refused before any step,
+        without numpy's overflow warning."""
+        rng = np.random.default_rng(6)
+        ds = random_standardized_dataset(rng, 20, 4)
+        with pytest.raises(NumericOverflow, match=r"the response is too large: its \(1/n\) "
+                                                  r"second moment E_n\[y\^2\] overflows float64"):
+            forward_regression(Dataset(x=ds.x, y=ds.y * 1e200), t=0.1)
+
+    def test_one_second_moment_pass_per_fit(self, monkeypatch):
+        """The column norms that the standardization check reads come from
+        the starting state, so a fit runs the ij,ij->j einsum once."""
+        calls = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        ds = random_standardized_dataset(np.random.default_rng(6), 60, 12, s0=3)
+        monkeypatch.setattr(np, "einsum", spy)
+        fr = forward_regression(ds, t=0.05)
+        assert fr.s_hat >= 2
+        assert calls.count("ij,ij->j") == 1
 
     def test_requires_positive_threshold(self):
         rng = np.random.default_rng(6)
@@ -159,7 +199,7 @@ def test_strict_threshold_stopping():
         state = initial_state(ds)
         for s in fr.trace.steps:
             state = ortho_extend(state, s.index, ds)
-        final_scores = score_all(state, ds)
+        final_scores = score_all(state)
         finite = final_scores[np.isfinite(final_scores)]
         assert np.all(finite <= t)
 
@@ -180,7 +220,7 @@ def test_greedy_dominance():
     fr = forward_regression(ds, t=0.02)
     state = initial_state(ds)
     for s in fr.trace.steps:
-        scores = score_all(state, ds)
+        scores = score_all(state)
         finite_max = np.max(scores[np.isfinite(scores)])
         assert s.gain >= finite_max - 1e-12
         state = ortho_extend(state, s.index, ds)

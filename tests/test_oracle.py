@@ -53,7 +53,7 @@ class TestNaiveDeltaLoss:
             state = initial_state(ds)
             for k in support:
                 state = ortho_extend(state, k, ds)
-            scores = score_all(state, ds)
+            scores = score_all(state)
             for j in range(10):
                 if j in support:
                     continue

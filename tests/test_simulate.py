@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from fwdreg import oracle, simulate
-from fwdreg.core_linalg import Dataset, column_moments, gram, is_standardized
+from fwdreg.core_linalg import STANDARDIZED_TOL, Dataset, column_moments, gram
 from fwdreg.errors import MissingGroundTruth
 from fwdreg.oracle import leading_rows_plain
 from fwdreg.simulate import (
@@ -230,7 +230,9 @@ class TestLeadingRows:
             walked.append(n)
             assert head.x.shape == (n, cfg.p)
             assert head.x.flags.c_contiguous
-            assert is_standardized(head.x)
+            # centred, with unit (1/n) second moment, to forward_regression's tolerance
+            assert np.abs(head.x.mean(axis=0)).max() <= STANDARDIZED_TOL
+            assert np.abs((head.x * head.x).mean(axis=0) - 1.0).max() <= STANDARDIZED_TOL
             assert np.array_equal(head.y, head.x @ head.theta0 + head.epsilon)
             assert np.array_equal(head.epsilon, full.epsilon[:n])
             assert np.array_equal(np.flatnonzero(head.theta0),
