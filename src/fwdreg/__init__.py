@@ -29,7 +29,6 @@ from .theory_bounds import (
     sparse_eig_sampled,
     threshold_condition,
     verify_theorem1,
-    verify_theorem3,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "constant_c2",
     "threshold_condition",
     "verify_theorem1",
-    "verify_theorem3",
 ]
 
 __version__ = "0.1.0"

@@ -358,7 +358,9 @@ def default_phi_size(cfg: SimConfig) -> int:
     return min(cfg.p, max(2 * cfg.s0, 1))
 
 
-def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
+def _verify_one(cfg: SimConfig, rep: int, safety: float,
+                phi_size: int) -> tuple[dict, bool]:
+    """One replication's record, and whether every bound held on it."""
     rep_cfg = replace(cfg, seed=cfg.seed + rep)
     ds = simulate_dataset(rep_cfg)
     g = gram(ds.x)
@@ -369,7 +371,6 @@ def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
 
     s0_support = set(np.flatnonzero(ds.theta0).tolist())
     bounds = theory_bounds.verify_theorem1(fr, ds, t, eig)
-    l2_ok, l1_ok = theory_bounds.verify_theorem3(fr, ds, eig)
     return {
         "seed": rep_cfg.seed,
         "t": t,
@@ -380,10 +381,7 @@ def _verify_one(cfg: SimConfig, rep: int, safety: float, phi_size: int) -> dict:
         "l1_error": fr.l1_error,
         "l2_error": fr.l2_error,
         **asdict(bounds),
-        "count_bound_holds": all(c.holds for c in bounds.c2_of_m),
-        "theorem3_l2_ok": l2_ok,
-        "theorem3_l1_ok": l1_ok,
-    }
+    }, bounds.holds
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:
@@ -433,11 +431,11 @@ def run_verify(
     if phi_size < 1:
         raise ValueError("phi_size must be >= 1")
 
-    def worker(rep: int) -> dict:
+    def worker(rep: int) -> tuple[dict, bool]:
         return _verify_one(cfg, rep, safety, phi_size)
 
     try:
-        records = parallel.fan_out(worker, range(replications), threads)
+        records, verdicts = zip(*parallel.fan_out(worker, range(replications), threads))
     except BudgetExceeded as exc:
         # phi(phi_size) is looked up first, so a refusal at its size is that lookup
         cut = (f"--phi-size (now {phi_size}) or p" if exc.size == min(phi_size, cfg.p)
@@ -445,18 +443,14 @@ def run_verify(
         raise BudgetExceeded(f"{exc}; the bound checks take exact phi_min only, so "
                              f"verify needs a smaller {cut}", exc.size) from None
 
-    all_pass = all(
-        r["pred_bound_holds"] and r["count_bound_holds"]
-        and r["theorem3_l2_ok"] and r["theorem3_l1_ok"]
-        for r in records
-    )
+    all_pass = all(verdicts)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
         "replications": replications,
         "safety": safety,
         "phi_size": phi_size,
-        "records": records,
+        "records": list(records),
         "aggregates": {
             key: _median_iqr([r[key] for r in records])
             for key in ("s_hat", "pred_error_norm", "l1_error", "l2_error")

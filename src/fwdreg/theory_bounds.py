@@ -31,7 +31,7 @@ GROTHENDIECK_BOUND = 1.783
 # Default cap on the number of subsets an exact enumeration may scan.
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
-# Relative slack of the parameter-error chain in verify_theorem3, for
+# Relative slack of the parameter-error chain in verify_theorem1, for
 # rounding in the error norms.
 THEOREM3_RTOL = 1e-9
 
@@ -81,7 +81,8 @@ class BoundReport:
 
     ``threshold_ok`` is the regularization premise evaluated at the
     smallest checked size (m = 0, i.e. phi_min(s0)); per-m admission is
-    re-checked inside ``c2_of_m``.
+    re-checked inside ``c2_of_m``, and ``count_bound_holds`` is every one
+    of those checks. ``holds`` combines the four verdicts.
     """
 
     c1: float
@@ -89,6 +90,14 @@ class BoundReport:
     threshold_ok: bool
     noise_sup: float
     pred_bound_holds: bool
+    count_bound_holds: bool
+    theorem3_l2_ok: bool
+    theorem3_l1_ok: bool
+
+    @property
+    def holds(self) -> bool:
+        return (self.pred_bound_holds and self.count_bound_holds
+                and self.theorem3_l2_ok and self.theorem3_l1_ok)
 
 
 def _batched_min_eig(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -476,40 +485,34 @@ def _exact_eig(eig: EigSource, size: int) -> SparseEigReport:
     return rep
 
 
-def _fit_size_eig(
-    fr: FitResult, ds: Dataset, eig: EigSource
-) -> tuple[SparseEigReport, set[int]]:
-    """phi_min(max(s_hat + s0, 1)), at which the prediction and
-    parameter-error bounds are evaluated, and the true support."""
-    if ds.theta0 is None or fr.pred_error_norm is None:
-        raise MissingGroundTruth("bound checks need theta0 and pred_error_norm")
-    s0_support = set(np.flatnonzero(ds.theta0).tolist())
-    s0 = len(s0_support)
-    rep = _exact_eig(eig, fr.s_hat + s0)
-    if rep.value <= 0:
-        raise NonpositiveEigenvalue(
-            f"minimum sparse eigenvalue phi = {rep.value} at size {rep.s} "
-            f"(s_hat = {fr.s_hat}, s0 = {s0}) is not positive, so the bounds at that "
-            f"size are undefined (n = {ds.n}; phi is 0 at every subset size >= n)")
-    return rep, s0_support
-
-
 def verify_theorem1(
     fr: FitResult, ds: Dataset, t: float, eig: EigSource
 ) -> BoundReport:
-    """Check the prediction-error bound and the selection-count bound.
+    """Check one fit against the bounds of Theorems 1 and 3.
 
-    The prediction-error inequality pred_error_norm <= c1 has no premise
-    beyond the algorithm itself, and every phi is exact (see _exact_eig),
-    so any failure is an implementation bug. The count bound
-    m <= c2(m) * s0 is checked for every m up to the number of false
-    selections whose threshold premise holds at phi_min(m + s0).
+    Theorem 1 bounds the prediction error, pred_error_norm <= c1, and the
+    number of false selections, m <= c2(m) * s0. The prediction-error
+    inequality has no premise beyond the algorithm itself, and every phi
+    is exact (see _exact_eig), so any failure is an implementation bug.
+    The count bound is checked for every m up to the number of false
+    selections whose threshold premise holds at phi_min(m + s0). Theorem 3
+    chains the parameter errors,
+    l1 <= sqrt(s_hat + s0) * l2 <= sqrt(s_hat + s0) * phi^{-1} * pred_error_norm,
+    with the phi = phi_min(max(s_hat + s0, 1)) of c1.
     """
+    if ds.theta0 is None or None in (fr.pred_error_norm, fr.l2_error, fr.l1_error):
+        raise MissingGroundTruth("bound checks need theta0 and the fit's error norms")
     noise_sup = noise_covariate_sup(ds)
-    pred_rep, s0_support = _fit_size_eig(fr, ds, eig)
+    s0_support = set(np.flatnonzero(ds.theta0).tolist())
     s0 = len(s0_support)
-    c1 = constant_c1(fr.s_hat, s0, pred_rep.value, noise_sup, t)
-    pred_bound_holds = fr.pred_error_norm <= c1
+    fit_rep = _exact_eig(eig, fr.s_hat + s0)
+    phi = fit_rep.value
+    if phi <= 0:
+        raise NonpositiveEigenvalue(
+            f"minimum sparse eigenvalue phi = {phi} at size {fit_rep.s} "
+            f"(s_hat = {fr.s_hat}, s0 = {s0}) is not positive, so the bounds at that "
+            f"size are undefined (n = {ds.n}; phi is 0 at every subset size >= n)")
+    c1 = constant_c1(fr.s_hat, s0, phi, noise_sup, t)
 
     m_max = len(set(fr.support) - s0_support)
     checks: list[C2Check] = []
@@ -523,25 +526,15 @@ def verify_theorem1(
         c2 = constant_c2(rep.value)
         checks.append(C2Check(m=m, c2=c2, holds=m <= c2 * s0))
 
+    root = math.sqrt(fit_rep.s)
+    slack = lambda v: v * (1.0 + THEOREM3_RTOL) + 1e-15  # noqa: E731
     return BoundReport(
         c1=c1,
         c2_of_m=tuple(checks),
         threshold_ok=threshold_ok,
         noise_sup=noise_sup,
-        pred_bound_holds=pred_bound_holds,
+        pred_bound_holds=fr.pred_error_norm <= c1,
+        count_bound_holds=all(c.holds for c in checks),
+        theorem3_l2_ok=root * fr.l2_error <= slack(root / phi * fr.pred_error_norm),
+        theorem3_l1_ok=fr.l1_error <= slack(root * fr.l2_error),
     )
-
-
-def verify_theorem3(fr: FitResult, ds: Dataset, eig: EigSource) -> tuple[bool, bool]:
-    """Check the chained parameter-error inequalities
-    l1 <= sqrt(s_hat + s0) * l2 <= sqrt(s_hat + s0) * phi^{-1} * pred_norm,
-    with phi = phi_min(max(s_hat + s0, 1)) looked up in ``eig``.
-    """
-    if fr.l1_error is None or fr.l2_error is None:
-        raise MissingGroundTruth("fit result carries no parameter errors")
-    rep, _s0_support = _fit_size_eig(fr, ds, eig)
-    root = math.sqrt(rep.s)
-    slack = lambda v: v * (1.0 + THEOREM3_RTOL) + 1e-15  # noqa: E731
-    l1_ok = fr.l1_error <= slack(root * fr.l2_error)
-    l2_ok = root * fr.l2_error <= slack(root / rep.value * fr.pred_error_norm)
-    return l2_ok, l1_ok

@@ -46,6 +46,9 @@ GONE = {
     # forward_regression checks standardization from its starting state's
     # column norms, so the separate check and its second einsum pass are gone
     "core_linalg.is_standardized",
+    # verify_theorem1 checks the parameter-error chain in the same report
+    # as the prediction and count bounds, with one phi_min(s_hat + s0) lookup
+    "theory_bounds.verify_theorem3",
 }
 
 

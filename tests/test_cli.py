@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fwdreg import cli, oracle, theory_bounds
+from fwdreg import cli, forward_select, oracle, theory_bounds
 from fwdreg import simulate as simulate_module
 from fwdreg.cli import (
     EXIT_BOUND_FAILURE,
@@ -622,6 +622,32 @@ def test_removed_sampling_flags_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _scaled_errors(l2_factor, l1_factor):
+    """forward_select.parameter_errors with the l2 and l1 errors scaled."""
+    plain = forward_select.parameter_errors
+
+    def scaled(*args):
+        l2, l1, pred = plain(*args)
+        return l2 * l2_factor, l1 * l1_factor, pred
+
+    return scaled
+
+
+# for each verdict of BoundReport.holds, a patch under which it alone fails
+_BROKEN_BOUNDS = {
+    # c1 = 0: no prediction error meets the bound
+    "prediction": ("pred_bound_holds", theory_bounds, "constant_c1", lambda *args: 0.0),
+    # c2 < 0: not even m = 0 false selections meets m <= c2 * s0
+    "count": ("count_bound_holds", theory_bounds, "constant_c2", lambda *args: -1.0),
+    # l2 far above phi^{-1} * pred_error_norm
+    "theorem3_l2": ("theorem3_l2_ok", forward_select, "parameter_errors",
+                    _scaled_errors(1e6, 1.0)),
+    # l1 far above sqrt(s_hat + s0) * l2
+    "theorem3_l1": ("theorem3_l1_ok", forward_select, "parameter_errors",
+                    _scaled_errors(1.0, 1e6)),
+}
+
+
 class TestVerifyCommand:
     def _config(self, tmp_path, **overrides):
         cfg = dict(n=100, p=20, s0=2, design="independent", rho=0.0,
@@ -704,10 +730,14 @@ class TestVerifyCommand:
             "--phi-size (now 6) or p\n")
         assert not out.exists()
 
-    def test_failed_bound_check_exits_4(self, tmp_path, capsys, monkeypatch):
-        """With c1 = 0 no prediction error meets the bound. The replications
-        run in this process (one worker), where the patch holds."""
-        monkeypatch.setattr(theory_bounds, "constant_c1", lambda *args: 0.0)
+    @pytest.mark.parametrize("verdict, module, name, patch", _BROKEN_BOUNDS.values(),
+                             ids=_BROKEN_BOUNDS.keys())
+    def test_failed_bound_check_exits_4(self, tmp_path, capsys, monkeypatch,
+                                        verdict, module, name, patch):
+        """Each verdict that BoundReport.holds combines fails a run on its
+        own. The replications run in this process (one worker), where the
+        patch holds."""
+        monkeypatch.setattr(module, name, patch)
         out = tmp_path / "report.json"
         code = main(["verify", "--config", self._config(tmp_path),
                      "--replications", "2", "--threads", "1", "-o", str(out)])
@@ -715,7 +745,9 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == "bound check failed on at least one replication\n"
         report = json.loads(out.read_text())
         assert report["all_bounds_hold"] is False
-        assert not any(r["pred_bound_holds"] for r in report["records"])
+        for record in report["records"]:
+            assert {key: record[key] for key, *_ in _BROKEN_BOUNDS.values()} == {
+                key: key != verdict for key, *_ in _BROKEN_BOUNDS.values()}
 
     def test_zero_eigenvalue_at_fit_size(self, tmp_path, capsys):
         # s_hat = 4 and s0 = 3 fill the n = 7 sample, so phi_min(7) = 0

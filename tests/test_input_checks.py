@@ -1,6 +1,7 @@
 """Every argument check raises its own message. Each case here is a check
 that the rest of the suite never reaches, so its message is pinned here."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -24,7 +25,6 @@ from fwdreg.theory_bounds import (
     sparse_eig_exact,
     threshold_condition,
     verify_theorem1,
-    verify_theorem3,
 )
 from helpers import random_standardized_dataset
 
@@ -39,16 +39,13 @@ def _extend_twice():
     ortho_extend(state, 0, ds)
 
 
-def _bound_check(verify):
-    """``verify`` on a dataset with ground truth and a fit of the same data
-    without it, so the fit carries no parameter or prediction errors."""
+def _bound_check(missing):
+    """verify_theorem1 on a dataset with ground truth and a fit of it
+    whose error norms named in ``missing`` are taken out."""
     ds = _dataset()
-    fr = forward_regression(Dataset(x=ds.x, y=ds.y), 0.05)
-    eig = exact_eig_source(ds.x.T @ ds.x / ds.n)
-    if verify is verify_theorem1:
-        verify(fr, ds, 0.05, eig)
-    else:
-        verify(fr, ds, eig)
+    fr = forward_regression(ds, 0.05)
+    fr = dataclasses.replace(fr, **dict.fromkeys(missing))
+    verify_theorem1(fr, ds, 0.05, exact_eig_source(ds.x.T @ ds.x / ds.n))
 
 
 CASES = {
@@ -90,11 +87,11 @@ CASES = {
         lambda: threshold_condition(0.0, 0.5, 0.1),
         ValueError, "threshold t must be positive"),
     "theorem1_without_prediction_error": (
-        lambda: _bound_check(verify_theorem1),
-        MissingGroundTruth, "bound checks need theta0 and pred_error_norm"),
+        lambda: _bound_check(["pred_error_norm"]),
+        MissingGroundTruth, "bound checks need theta0 and the fit's error norms"),
     "theorem3_without_parameter_errors": (
-        lambda: _bound_check(verify_theorem3),
-        MissingGroundTruth, "fit result carries no parameter errors"),
+        lambda: _bound_check(["l2_error", "l1_error"]),
+        MissingGroundTruth, "bound checks need theta0 and the fit's error norms"),
     "config_theta_pattern": (
         lambda: SimConfig(n=10, p=3, s0=1, theta_pattern="spiky"),
         ValueError, f"theta_pattern must be one of {THETA_PATTERNS}"),

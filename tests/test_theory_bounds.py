@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -25,7 +26,6 @@ from fwdreg.theory_bounds import (
     sparse_eig_sampled,
     threshold_condition,
     verify_theorem1,
-    verify_theorem3,
 )
 from helpers import orthonormal_design, random_standardized_dataset
 
@@ -562,7 +562,9 @@ class TestVerifyTheorem1:
         assert report.noise_sup == pytest.approx(0.0, abs=1e-12)
         assert report.pred_bound_holds
         assert report.threshold_ok
-        assert all(c.holds for c in report.c2_of_m)
+        assert report.c2_of_m and all(c.holds for c in report.c2_of_m)
+        assert report.count_bound_holds
+        assert report.holds
 
     def test_missing_ground_truth(self):
         rng = np.random.default_rng(8)
@@ -581,18 +583,28 @@ class TestVerifyTheorem1:
         report = verify_theorem1(fr, ds, t, exact_eig_source(gram(ds.x)))
         assert report.c2_of_m == ()
         assert not report.threshold_ok
+        # no m is admitted, so the count bound holds vacuously
+        assert report.count_bound_holds
         # the prediction bound carries no threshold premise
         assert report.pred_bound_holds
 
 
+def theorem3(fr, ds, t, eig=None):
+    """The Theorem-3 verdicts (l2, l1) of verify_theorem1."""
+    report = verify_theorem1(fr, ds, t, eig or exact_eig_source(gram(ds.x)))
+    return report.theorem3_l2_ok, report.theorem3_l1_ok
+
+
 class TestVerifyTheorem3:
+    """The parameter-error chain that verify_theorem1 reports."""
+
     def test_exact_recovery(self):
         rng = np.random.default_rng(10)
         x = orthonormal_design(rng, 30, 4)
         theta0 = np.array([3.0, 0.0, 0.0, 0.0])
         ds = Dataset(x=x, y=x @ theta0, theta0=theta0, epsilon=np.zeros(30))
         fr = forward_regression(ds, t=0.5)
-        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds.x))) == (True, True)
+        assert theorem3(fr, ds, 0.5) == (True, True)
 
     def test_tight_single_coordinate_case(self):
         # orthonormal design, deviation on one coordinate: all three
@@ -605,24 +617,40 @@ class TestVerifyTheorem3:
         fr = forward_regression(ds, t=2.0)
         assert fr.support == ()
         assert fr.l1_error == fr.l2_error == pytest.approx(fr.pred_error_norm)
-        assert verify_theorem3(fr, ds, exact_eig_source(gram(ds.x))) == (True, True)
+        assert theorem3(fr, ds, 2.0) == (True, True)
 
     def test_random_ensemble(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             ds = random_standardized_dataset(rng, 60, 10, s0=2, noise_sd=0.4)
             fr = forward_regression(ds, t=0.05)
-            assert verify_theorem3(fr, ds, exact_eig_source(gram(ds.x))) == (True, True)
+            assert theorem3(fr, ds, 0.05) == (True, True)
+
+    def test_chain_is_evaluated_at_the_fit_size_phi(self):
+        """l2 <= phi^{-1} * pred_error_norm reads phi_min(s_hat + s0): a
+        prediction error just above phi * l2 passes and one just below
+        fails, where phi_min(s0), the count loop's first size, would pass
+        both."""
+        ds = simulate_dataset(SimConfig(n=60, p=10, s0=2, noise_sd=0.5, seed=21))
+        g = gram(ds.x)
+        t = oracle_threshold(ds, sparse_eig_exact(g, 4).value)
+        fr = forward_regression(ds, t)
+        phi = sparse_eig_exact(g, fr.s_hat + 2).value
+        assert sparse_eig_exact(g, 2).value > phi * (1 + 1e-6)
+        for factor, holds in ((1 + 1e-6, True), (1 - 1e-6, False)):
+            fake = dataclasses.replace(fr, pred_error_norm=phi * fr.l2_error * factor)
+            assert theorem3(fake, ds, t)[0] is holds
 
     def test_zero_eigenvalue_at_fit_size(self):
         # s_hat = 4 selections plus s0 = 3 true columns fill the n = 7
         # sample, so every size-7 subset is singular and phi_min(7) = 0
         ds = simulate_dataset(SimConfig(n=7, p=12, s0=3, noise_sd=0.3, seed=18))
         eig = exact_eig_source(gram(ds.x))
-        fr = forward_regression(ds, oracle_threshold(ds, eig(1).value))
+        t = oracle_threshold(ds, eig(1).value)
+        fr = forward_regression(ds, t)
         with pytest.raises(NonpositiveEigenvalue,
                            match=r"at size 7 \(s_hat = 4, s0 = 3\) .*\(n = 7;"):
-            verify_theorem3(fr, ds, eig)
+            theorem3(fr, ds, t, eig)
 
 
 class TestExactEigenvaluesOnly:
@@ -637,11 +665,8 @@ class TestExactEigenvaluesOnly:
         assert fr.s_hat >= 1  # so the fit size s_hat + 2 differs from m + s0 at m = 0
         return ds, g, fr, t
 
-    @pytest.mark.parametrize("check", [
-        lambda fr, ds, t, eig: verify_theorem1(fr, ds, t, eig),
-        lambda fr, ds, t, eig: verify_theorem3(fr, ds, eig),
-    ], ids=["theorem1", "theorem3"])
-    def test_sampled_source_rejected(self, check):
+    def test_sampled_source_rejected(self):
+        # the fit size is looked up first
         ds, g, fr, t = self._fit()
 
         def sampled(size):
@@ -650,7 +675,7 @@ class TestExactEigenvaluesOnly:
         with pytest.raises(ValueError, match=(
                 rf"exact phi_min\({fr.s_hat + 2}\), not a sampled one: "
                 r"a sampled phi only upper-bounds phi_min")):
-            check(fr, ds, t, sampled)
+            verify_theorem1(fr, ds, t, sampled)
 
     def test_every_count_size_checked(self):
         # exact at the fit size only: the count loop's first size, s0 = 2,
@@ -662,6 +687,5 @@ class TestExactEigenvaluesOnly:
                 return sparse_eig_exact(g, size)
             return sparse_eig_sampled(g, size)
 
-        assert verify_theorem3(fr, ds, mixed) == (True, True)
         with pytest.raises(ValueError, match=r"exact phi_min\(2\), not a sampled one"):
             verify_theorem1(fr, ds, t, mixed)
