@@ -88,12 +88,17 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     C-ordered (n, 1) slice pairwise, while it adds the rows of a wider
     block in order.
 
+    A column whose moments fit in float64 but whose plain sums overflow
+    is taken again divided by its largest |entry|; every other column
+    keeps the plain result, bit for bit.
+
     Raises ValueError unless ``raw`` is a 2-d matrix with at least two
-    rows, OverflowingColumn for a column whose mean or second moment
-    overflows float64 (numpy's overflow warnings are silenced, since this
-    names the column), and ZeroVarianceColumn for a constant column (scale
-    within rounding of zero relative to its mean); the caller must drop it
-    or fail.
+    rows, OverflowingColumn for a column whose second moment overflows
+    float64 (numpy's overflow warnings are silenced, since this names the
+    column), and ZeroVarianceColumn for a constant column (scale within
+    rounding of zero relative to its mean); the caller must drop it or
+    fail. A finite second moment bounds every deviation from the mean by
+    sqrt(n) times its root, so centring cannot overflow.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
@@ -124,6 +129,13 @@ def column_moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.square(dev, out=dev)
             second[lo:hi] = dev.mean(axis=0)
             del dev  # before the next block is allocated
+    for j in np.flatnonzero(~np.isfinite(second)):
+        top = np.abs(raw[:, j]).max()
+        unit = raw[:, j] / top
+        mean[j] = unit.mean()
+        unit -= mean[j]
+        second[j] = np.mean(unit * unit) * top * top  # inf if it does not fit
+        mean[j] *= top
     scale = np.sqrt(second)
     over = np.flatnonzero(~np.isfinite(scale))
     if over.size:

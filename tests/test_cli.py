@@ -749,6 +749,18 @@ class TestVerifyCommand:
             assert {key: record[key] for key, *_ in _BROKEN_BOUNDS.values()} == {
                 key: key != verdict for key, *_ in _BROKEN_BOUNDS.values()}
 
+    @pytest.mark.parametrize("c", [1e16, 1e17, 1e20])
+    def test_large_signal_passes_within_rounding(self, tmp_path, c):
+        """With a signal this strong the refit's rounding, at the scale of y,
+        outgrows c1, which does not grow with c; without slack for it the
+        prediction check failed on at least one of these 5 seeds."""
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", self._config(tmp_path, n=30, p=4, s0=2, c=c,
+                                                         noise_sd=1.0, seed=0),
+                     "--replications", "5", "-o", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["all_bounds_hold"] is True
+
     def test_zero_eigenvalue_at_fit_size(self, tmp_path, capsys):
         # s_hat = 4 and s0 = 3 fill the n = 7 sample, so phi_min(7) = 0
         cfg = self._config(tmp_path, n=7, p=12, s0=3, noise_sd=0.3, seed=18)

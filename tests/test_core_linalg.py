@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,44 @@ class TestStandardize:
         with pytest.raises(OverflowingColumn, match="^column 1 is too large to standardize: "
                                                     "its second moment overflows float64$") as exc:
             column_moments(raw)
+        assert exc.value.column == 1
+        assert raw.tobytes(order="A") == before.tobytes(order="A")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_moments_past_the_sums(self, order):
+        """A column whose second moment, about 6.9e307, fits in float64 but
+        whose sum of squares does not is taken on the column scaled by its
+        largest entry; the other columns keep the plain moments bit for bit."""
+        big = [1e154, -1e154, 1e154, 4.0]
+        raw = np.asarray(np.column_stack([[1.0, -1.0, 3.0, 2.0], big, [2.0, 1.0, 5.0, 4.0]]),
+                         order=order)
+        mean, scale = column_moments(raw)
+        exact = [Fraction(v) for v in big]
+        mu = sum(exact) / 4
+        assert mean[1] == pytest.approx(float(mu), rel=1e-15)
+        assert scale[1] ** 2 == pytest.approx(
+            float(sum((v - mu) ** 2 for v in exact) / 4), rel=1e-14)
+        plain = raw[:, [0, 2]]
+        assert mean[[0, 2]].tobytes() == plain.mean(axis=0).tobytes()
+        assert scale[[0, 2]].tobytes() == np.sqrt(
+            ((plain - plain.mean(axis=0)) ** 2).mean(axis=0)).tobytes()
+        x = raw.copy(order="K")
+        standardize(x)
+        assert np.max(np.abs(x.mean(axis=0))) < 1e-15
+        assert np.max(np.abs((x * x).mean(axis=0) - 1.0)) < 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overflowing_deviations(self, order):
+        """A column whose mean fits but whose deviations from it overflow
+        float64 is rejected before ``raw`` is written."""
+        big = np.full(100, 1.7e308)
+        big[-1] = -1.7e308
+        raw = np.asarray(np.column_stack([np.arange(100.0), big]), order=order)
+        before = raw.copy(order="K")
+        with pytest.raises(OverflowingColumn) as exc:
+            standardize(raw)
         assert exc.value.column == 1
         assert raw.tobytes(order="A") == before.tobytes(order="A")
 

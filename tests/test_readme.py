@@ -10,5 +10,5 @@ def test_library_example_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
-    # support, prediction-error norm, prediction bound verdict
+    # support, prediction-error norm, every bound's verdict
     assert re.fullmatch(r"\(3, 6\) 0\.06\d* True\n", capsys.readouterr().out)
