@@ -745,9 +745,9 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == "bound check failed on at least one replication\n"
         report = json.loads(out.read_text())
         assert report["all_bounds_hold"] is False
+        keys = [key for key, *_ in _BROKEN_BOUNDS.values()]
         for record in report["records"]:
-            assert {key: record[key] for key, *_ in _BROKEN_BOUNDS.values()} == {
-                key: key != verdict for key, *_ in _BROKEN_BOUNDS.values()}
+            assert {key: record[key] for key in keys} == {key: key != verdict for key in keys}
 
     @pytest.mark.parametrize("c", [1e16, 1e17, 1e20])
     def test_large_signal_passes_within_rounding(self, tmp_path, c):
