@@ -17,7 +17,6 @@ import csv
 import gc
 import itertools
 import json
-import math
 import os
 import re
 import stat
@@ -30,7 +29,7 @@ from typing import Any, BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import parallel, theory_bounds
+from . import experiment, parallel, theory_bounds
 from .core_linalg import (
     Dataset,
     gram,
@@ -38,8 +37,8 @@ from .core_linalg import (
     standardize,
 )
 from .errors import BudgetExceeded, ColumnError, FwdregError, ZeroVarianceColumn
-from .forward_select import FitResult, forward_regression
-from .simulate import SimConfig, nested_samples, oracle_threshold, simulate_dataset
+from .forward_select import forward_regression
+from .simulate import SimConfig
 
 SCHEMA_VERSION = "3"
 
@@ -54,8 +53,10 @@ EXIT_BOUND_FAILURE = 4
 
 
 def write_json(path: str, payload: dict) -> None:
+    """Write a JSON report, stamped with SCHEMA_VERSION."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"schema_version": SCHEMA_VERSION, **payload}, fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -331,7 +332,6 @@ def fit_csv(path: str, t: float) -> dict:
     beta = fr.theta_hat / scale
     intercept = y_mean - float(beta @ mean)
     return {
-        "schema_version": SCHEMA_VERSION,
         "threshold": t,
         "support": list(fr.support),
         "support_names": [names[j] for j in fr.support],
@@ -349,115 +349,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
-
-
-def default_phi_size(cfg: SimConfig) -> int:
-    """Sparse-eigenvalue size behind the oracle threshold: twice the true
-    support size, capped at p."""
-    return min(cfg.p, max(2 * cfg.s0, 1))
-
-
-def _verify_one(cfg: SimConfig, rep: int, safety: float,
-                phi_size: int) -> tuple[dict, bool]:
-    """One replication's record, and whether every bound held on it."""
-    rep_cfg = replace(cfg, seed=cfg.seed + rep)
-    ds = simulate_dataset(rep_cfg)
-    g = gram(ds.x)
-    eig = theory_bounds.exact_eig_source(g)
-    phi = eig(phi_size).value
-    t = oracle_threshold(ds, phi, safety=safety)
-    fr = forward_regression(ds, t)
-
-    s0_support = set(np.flatnonzero(ds.theta0).tolist())
-    bounds = theory_bounds.verify_theorem1(fr, ds, t, eig)
-    return {
-        "seed": rep_cfg.seed,
-        "t": t,
-        "s_hat": fr.s_hat,
-        "n_true_selected": len(set(fr.support) & s0_support),
-        "n_false_selected": len(set(fr.support) - s0_support),
-        "pred_error_norm": fr.pred_error_norm,
-        "l1_error": fr.l1_error,
-        "l2_error": fr.l2_error,
-        **asdict(bounds),
-    }, bounds.holds
-
-
-def _quantile(ordered: np.ndarray, q: float) -> float:
-    """The q-quantile of a sorted float array by numpy's default "linear"
-    rule, bit-equal to np.quantile, whose first call imports numpy.ma."""
-    if np.isnan(ordered[-1]):
-        return math.nan
-    pos = (ordered.size - 1) * q
-    lo = math.floor(pos)
-    a, b = ordered[lo], ordered[min(lo + 1, ordered.size - 1)]
-    t = pos - lo
-    diff = b - a
-    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-
-
-def _median(values: Sequence[float]) -> float:
-    """Bit-equal to np.median, without its first-call import of numpy.ma."""
-    ordered = np.sort(np.asarray(values, dtype=float))
-    if np.isnan(ordered[-1]):
-        return math.nan
-    # the middle value, or the mean of the middle two
-    return float(np.mean(ordered[(ordered.size - 1) // 2:ordered.size // 2 + 1]))
-
-
-def _median_iqr(values: list[float]) -> dict:
-    ordered = np.sort(np.asarray(values, dtype=float))
-    q1, med, q3 = (_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
-    return {"median": med, "iqr": q3 - q1}
-
-
-def run_verify(
-    cfg: SimConfig,
-    replications: int,
-    safety: float = 1.1,
-    phi_size: Optional[int] = None,
-    threads: int = 1,
-) -> tuple[dict, bool]:
-    """Simulate, fit and bound-check ``replications`` seeds.
-
-    Returns (report, all_bounds_hold). Replications are independent given
-    their seeds and fanned out over up to ``threads`` processes
-    (parallel.fan_out), so the process count cannot change the report.
-    """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    phi_size = default_phi_size(cfg) if phi_size is None else phi_size
-    if phi_size < 1:
-        raise ValueError("phi_size must be >= 1")
-
-    def worker(rep: int) -> tuple[dict, bool]:
-        return _verify_one(cfg, rep, safety, phi_size)
-
-    try:
-        records, verdicts = zip(*parallel.fan_out(worker, range(replications), threads))
-    except BudgetExceeded as exc:
-        # phi(phi_size) is looked up first, so a refusal at its size is that lookup
-        cut = (f"--phi-size (now {phi_size}) or p" if exc.size == min(phi_size, cfg.p)
-               else f"p or s0 ({exc.size} is a bound-check size, s_hat + s0 or m + s0)")
-        raise BudgetExceeded(f"{exc}; the bound checks take exact phi_min only, so "
-                             f"verify needs a smaller {cut}", exc.size) from None
-
-    all_pass = all(verdicts)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "replications": replications,
-        "safety": safety,
-        "phi_size": phi_size,
-        "records": list(records),
-        "aggregates": {
-            key: _median_iqr([r[key] for r in records])
-            for key in ("s_hat", "pred_error_norm", "l1_error", "l2_error")
-        },
-        "all_bounds_hold": all_pass,
-    }
-    return report, all_pass
+# verify and rates
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -487,7 +379,7 @@ def load_sim_config(path: str, seed: Optional[int]) -> SimConfig:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config, args.seed)
-    report, all_pass = run_verify(
+    report, all_pass = experiment.run_verify(
         cfg,
         replications=args.replications,
         safety=args.safety,
@@ -501,87 +393,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# rates
-
-
-def run_rates(
-    cfg: SimConfig,
-    n_grid: Sequence[int],
-    replications: int,
-    safety: float = 1.1,
-    threads: int = 1,
-) -> dict:
-    """Sweep n at fixed p, s0 and regress log median error on log n.
-
-    Each replication draws one dataset at the largest n, and every grid
-    point fits its leading rows (common random numbers), so the largest
-    point fits the draw itself. The points are fitted largest first, each
-    on the draw's rows standardized again in place (see
-    simulate.nested_samples), so a replication holds one design and copies
-    no rows; the results come back in grid order. A fit error is raised for
-    the smallest n at which one occurs, as an ascending walk would meet it
-    first. Sparse eigenvalues for the threshold use the sampled surrogate,
-    since exact enumeration is infeasible at sweep-scale p.
-    """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be increasing with at least 4 points")
-    if n_grid[0] < 2:
-        raise ValueError(f"n_grid entries must be >= 2, got {n_grid[0]}")
-    phi_size = default_phi_size(cfg)
-    # replication r draws at base_seed + r; the offset keeps the data of
-    # seeded sweeps from when every grid point had a seed of its own
-    base_seed = cfg.seed + 1_000_003 * (len(n_grid) - 1)
-
-    def fit(ds: Dataset) -> tuple[float, int]:
-        phi = theory_bounds.sparse_eig_sampled(gram(ds.x), phi_size).value
-        t = oracle_threshold(ds, phi, safety=safety)
-        fr = forward_regression(ds, t)
-        return fr.pred_error_norm, fr.s_hat
-
-    def worker(rep: int) -> list[tuple[float, int]]:
-        draw = replace(cfg, n=n_grid[-1], seed=base_seed + rep)
-        fits, failure = [], None
-        for ds in nested_samples(draw, n_grid):
-            try:
-                fits.append(fit(ds))
-            except FwdregError as exc:
-                failure = exc  # a smaller n's failure replaces a larger one's
-        if failure is not None:
-            raise failure
-        return fits[::-1]
-
-    # results[rep][gi]
-    results = parallel.fan_out(worker, range(replications), threads)
-
-    rows = []
-    for gi, n in enumerate(n_grid):
-        chunk = [fits[gi] for fits in results]
-        rows.append(
-            {
-                "n": n,
-                "median_pred_error_norm": _median([c[0] for c in chunk]),
-                "median_s_hat": _median([c[1] for c in chunk]),
-            }
-        )
-
-    errors = [r["median_pred_error_norm"] for r in rows]
-    if min(errors) < 1e-14:
-        slope = None
-        slope_flag = "degenerate: median error is numerically zero"
-    else:
-        slope = float(
-            np.polyfit(np.log([r["n"] for r in rows]), np.log(errors), 1)[0]
-        )
-        slope_flag = None
-    return {"rows": rows, "slope": slope, "slope_flag": slope_flag}
-
-
 def cmd_rates(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config, args.seed)
-    summary = run_rates(
+    summary = experiment.run_rates(
         cfg,
         n_grid=args.n_grid,
         replications=args.replications,
@@ -613,7 +427,6 @@ def cmd_sparse_eig(args: argparse.Namespace) -> int:
         # refused from C(p, k) before any work: report the upper bound instead
         rep = theory_bounds.sparse_eig_sampled(g, args.s)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         **asdict(rep),
         "witness_names": [names[j] for j in rep.witness],
         "upper_bound_only": rep.method == "sampled",
@@ -647,7 +460,6 @@ def compare_csv(path: str, t: float, k: Optional[int] = None) -> dict:
     _theta, greedy_loss = least_squares_on_support(ds, greedy_support)
     best_support, best_loss = oracle.best_subset(ds, k)
     return {
-        "schema_version": SCHEMA_VERSION,
         "threshold": t,
         "k": k,
         "greedy_support": list(greedy_support),

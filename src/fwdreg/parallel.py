@@ -3,8 +3,8 @@
 ``fan_out`` runs a worker on a list of jobs over forked worker processes
 on a Linux-like system, and in the calling process elsewhere or on any
 failure, so the result is the serial run's whatever the process count.
-``cli.run_verify`` and ``cli.run_rates`` fan out their replications, and
-``cli.read_csv`` the chunks of a large CSV.
+``experiment.replicate`` fans out the replications of verify and rates,
+and ``cli.read_csv`` the chunks of a large CSV.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from fwdreg.cli import main, run_rates, run_verify
+from fwdreg.cli import main
 from fwdreg.core_linalg import (
     gram,
     initial_state,
@@ -15,6 +15,7 @@ from fwdreg.core_linalg import (
     ortho_extend,
     standardize,
 )
+from fwdreg.experiment import run_rates, run_verify
 from fwdreg.forward_select import forward_regression, score_all
 from fwdreg.oracle import best_subset, naive_delta_loss, sparse_eig_bruteforce
 from fwdreg.simulate import SimConfig

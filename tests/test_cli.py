@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fwdreg import cli, forward_select, oracle, theory_bounds
+from fwdreg import cli, experiment, forward_select, oracle, theory_bounds
 from fwdreg import simulate as simulate_module
 from fwdreg.cli import (
     EXIT_BOUND_FAILURE,
@@ -21,10 +21,10 @@ from fwdreg.cli import (
     fit_csv,
     main,
     read_csv,
-    run_rates,
 )
 from fwdreg.core_linalg import gram, standardize
 from fwdreg.errors import BudgetExceeded
+from fwdreg.experiment import run_rates
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
 from helpers import child_env
@@ -919,8 +919,10 @@ class TestRates:
         }
 
     def test_one_draw_per_replication(self, monkeypatch):
-        """Each replication simulates once, at the largest n. The draws are
-        counted in this process, so the replications run here (one worker);
+        """Each replication simulates once, at the largest n. At the one grid
+        point [cfg.n] that is the draw at cfg.n and seed cfg.seed + r, the
+        one verify fits as its replication r. The draws are counted in this
+        process, so the replications run here (one worker);
         test_thread_count_does_not_change_csv covers two."""
         simulated = []
 
@@ -930,9 +932,18 @@ class TestRates:
 
         monkeypatch.setattr(simulate_module, "simulate_dataset", simulate)
         cfg = SimConfig(n=50, p=10, s0=2, noise_sd=1.0, seed=5)
-        run_rates(cfg, [50, 100, 200, 400], replications=3, threads=1)
         last = 5 + 1_000_003 * 3
-        assert sorted(simulated) == [(400, last + rep) for rep in range(3)]
+        for run, draws in (
+            (lambda: run_rates(cfg, [50, 100, 200, 400], replications=3, threads=1),
+             [(400, last + rep) for rep in range(3)]),
+            (lambda: experiment.replicate(cfg, [cfg.n], 3, 1, lambda ds: ds.n),
+             [(cfg.n, cfg.seed + rep) for rep in range(3)]),
+            (lambda: experiment.run_verify(cfg, replications=3, threads=1),
+             [(cfg.n, cfg.seed + rep) for rep in range(3)]),
+        ):
+            simulated.clear()
+            run()
+            assert sorted(simulated) == draws
 
 
 class TestSparseEigCommand:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from fwdreg import cli
+from fwdreg import experiment
 from fwdreg.core_linalg import (
     Dataset,
     column_moments,
@@ -99,7 +99,7 @@ CASES = {
         lambda: SimConfig(n=10, p=3, s0=1, noise_sd=-0.5),
         ValueError, "noise_sd must be >= 0"),
     "verify_no_replications": (
-        lambda: cli.run_verify(SimConfig(n=10, p=3, s0=1), replications=0),
+        lambda: experiment.run_verify(SimConfig(n=10, p=3, s0=1), replications=0),
         ValueError, "replications must be >= 1"),
 }
 

@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 
 from fwdreg import cli, parallel
-from fwdreg.cli import read_dataset, run_rates
+from fwdreg.cli import read_dataset
 from fwdreg.core_linalg import column_moments, gram
+from fwdreg.experiment import run_rates
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, simulate_dataset
 from fwdreg.theory_bounds import sparse_eig_exact, sparse_eig_sampled

@@ -1,7 +1,7 @@
 """The verify_exact benchmark checks `verify` against answers committed in
 perfbench/verify_reference.json, whose generator sets each threshold from
 phi at a size it computes itself. These tests fail when that size and the
-CLI's default_phi_size part, instead of the benchmark failing later on a
+default_phi_size of `verify` part, instead of the benchmark failing later on a
 threshold mismatch it cannot explain."""
 
 import json
@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from fwdreg.cli import default_phi_size
+from fwdreg.experiment import default_phi_size
 from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
 
 REFERENCE = json.loads(
