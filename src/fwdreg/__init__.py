@@ -14,7 +14,6 @@ from .core_linalg import (
 from .forward_select import (
     FitResult,
     SelectionStep,
-    SelectionTrace,
     forward_regression,
     parameter_errors,
     score_all,
@@ -36,7 +35,6 @@ __all__ = [
     "OrthoState",
     "FitResult",
     "SelectionStep",
-    "SelectionTrace",
     "SimConfig",
     "BoundReport",
     "SparseEigReport",

@@ -36,11 +36,11 @@ from .core_linalg import (
     least_squares_on_support,
     standardize,
 )
-from .errors import BudgetExceeded, ColumnError, FwdregError, ZeroVarianceColumn
+from .errors import ColumnError, FwdregError, ZeroVarianceColumn
 from .forward_select import forward_regression
 from .simulate import SimConfig
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -338,7 +338,7 @@ def fit_csv(path: str, t: float) -> dict:
         "coefficients": {names[j]: float(beta[j]) for j in fr.support},
         "intercept": intercept,
         "loss": fr.loss,
-        "trace": [{**asdict(s), "name": names[s.index]} for s in fr.trace.steps],
+        "trace": [{**asdict(s), "name": names[s.index]} for s in fr.steps],
     }
 
 
@@ -420,17 +420,8 @@ def cmd_sparse_eig(args: argparse.Namespace) -> int:
     if not names:  # a lone "y" column
         raise ValueError("need at least one observation and one covariate")
     _standardize_csv(args.input, names, x, yi)
-    g = gram(x)
-    try:
-        rep = theory_bounds.sparse_eig_exact(g, args.s)
-    except BudgetExceeded:
-        # refused from C(p, k) before any work: report the upper bound instead
-        rep = theory_bounds.sparse_eig_sampled(g, args.s)
-    payload = {
-        **asdict(rep),
-        "witness_names": [names[j] for j in rep.witness],
-        "upper_bound_only": rep.method == "sampled",
-    }
+    rep = theory_bounds.sparse_eig(gram(x), args.s)
+    payload = {**asdict(rep), "witness_names": [names[j] for j in rep.witness]}
     write_json(args.out, payload)
     return EXIT_OK
 
@@ -456,7 +447,7 @@ def compare_csv(path: str, t: float, k: Optional[int] = None) -> dict:
             f"k must be between 0 and the selected size {fr.s_hat}, got {k}"
         )
 
-    greedy_support = tuple(sorted(s.index for s in fr.trace.steps[:k]))
+    greedy_support = tuple(sorted(s.index for s in fr.steps[:k]))
     _theta, greedy_loss = least_squares_on_support(ds, greedy_support)
     best_support, best_loss = oracle.best_subset(ds, k)
     return {
@@ -530,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     rates.set_defaults(func=cmd_rates)
 
     eig = sub.add_parser("sparse-eig", parents=[data, out],
-                         help="minimum sparse eigenvalue of the Gram matrix; an upper "
-                              "bound when C(p, s) is over the enumeration budget")
+                         help="minimum sparse eigenvalue of the Gram matrix, as an "
+                              "interval [lower, value]; exact when C(p, s) is within "
+                              "the enumeration budget")
     eig.add_argument("--s", type=int, required=True)
     eig.set_defaults(func=cmd_sparse_eig)
 

@@ -31,8 +31,9 @@ def fit_record(ds: Dataset, eig: EigSource, safety: float,
     """Fit ``ds`` at the oracle threshold from phi(phi_size) of ``eig``, a
     size -> SparseEigReport lookup on its Gram matrix: the record of t, the
     fit's selection counts and errors and, with an exact phi, the fields of
-    the fit's BoundReport, returned too; a sampled phi only upper-bounds
-    phi_min, so it supports no bound check and the report is None."""
+    the fit's BoundReport, returned too; a phi whose interval has
+    lower < value is not certified, so it supports no bound check and the
+    report is None."""
     rep = eig(phi_size)
     t = oracle_threshold(ds, rep.value, safety=safety)
     fr = forward_regression(ds, t)
@@ -46,7 +47,7 @@ def fit_record(ds: Dataset, eig: EigSource, safety: float,
         "l1_error": fr.l1_error,
         "l2_error": fr.l2_error,
     }
-    if rep.method != "exact":
+    if rep.lower < rep.value:
         return record, None
     bounds = verify_theorem1(fr, ds, t, eig)
     return {**record, **asdict(bounds)}, bounds

@@ -37,16 +37,11 @@ class SelectionStep:
 
 
 @dataclass(frozen=True)
-class SelectionTrace:
-    """Ordered record of the selection loop: every gain strictly exceeds
-    the threshold and the working loss drops by exactly that gain."""
+class FitResult:
+    """``steps`` records the selection loop in order: every gain strictly
+    exceeds the threshold and the working loss drops by exactly that gain."""
 
     steps: tuple[SelectionStep, ...]
-
-
-@dataclass(frozen=True)
-class FitResult:
-    trace: SelectionTrace
     theta_hat: np.ndarray
     support: tuple[int, ...]
     loss: float
@@ -132,7 +127,7 @@ def forward_regression(ds: Dataset, t: float) -> FitResult:
         l2, l1, pred = parameter_errors(ds, theta_hat, ds.theta0)
 
     return FitResult(
-        trace=SelectionTrace(steps=tuple(steps)),
+        steps=tuple(steps),
         theta_hat=theta_hat,
         support=support,
         loss=loss,

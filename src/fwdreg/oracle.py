@@ -20,6 +20,7 @@ from .simulate import SimConfig, _theta_values
 from .theory_bounds import SparseEigReport, _screen_level
 
 _RANK_TOL = 1e-10
+BEST_SUBSET_BUDGET = 1_000_000
 
 
 def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,19 +94,17 @@ def naive_delta_loss(ds: Dataset, support: Iterable[int], j: int) -> float:
     return float(loss_sj - loss_s)
 
 
-def best_subset(
-    ds: Dataset, k: int, budget: int = 1_000_000
-) -> tuple[tuple[int, ...], float]:
+def best_subset(ds: Dataset, k: int) -> tuple[tuple[int, ...], float]:
     """Exact minimizer of l(S) over supports of size k by enumeration.
 
     Rank-deficient subsets are skipped (a collinear subset never beats
     its full-rank subfamilies). Ties go to the lexicographically first
-    subset.
+    subset. Raises BudgetExceeded when C(p, k) exceeds BEST_SUBSET_BUDGET.
     """
     if not 0 <= k <= ds.p:
         raise ValueError("need 0 <= k <= p")
-    if math.comb(ds.p, k) > budget:
-        raise BudgetExceeded(f"C({ds.p}, {k}) exceeds budget {budget}", k)
+    if math.comb(ds.p, k) > BEST_SUBSET_BUDGET:
+        raise BudgetExceeded(f"C({ds.p}, {k}) exceeds budget {BEST_SUBSET_BUDGET}", k)
     if k == 0:
         return (), en_dot(ds.y, ds.y)
     best_s: tuple[int, ...] = ()
@@ -141,10 +140,11 @@ def sparse_eig_bruteforce(g: np.ndarray, s: int) -> SparseEigReport:
             if lam < best_val:
                 best_val = lam
                 best_wit = combo
+    value = max(best_val, 0.0)
     return SparseEigReport(
         s=int(s),
-        value=max(best_val, 0.0),
-        method="exact",
+        lower=value,
+        value=value,
         witness=best_wit,
         subsets_examined=examined,
     )
@@ -216,8 +216,8 @@ def sparse_eig_sampled_plain(g: np.ndarray, s: int) -> SparseEigReport:
             value = lam
     return SparseEigReport(
         s=int(s),
+        lower=0.0,
         value=max(value, 0.0),
-        method="sampled",
         witness=witness,
         subsets_examined=len(groups) + solved,
     )

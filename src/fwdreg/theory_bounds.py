@@ -1,7 +1,7 @@
 """Sparse eigenvalues of the Gram matrix and finite-sample bound constants.
 
-Computes the minimum s-sparse eigenvalue (exactly by subset enumeration,
-or as an upper bound from a local search), the bound constants that
+Computes the minimum s-sparse eigenvalue as an interval (exact by subset
+enumeration, or the upper end from a local search), the bound constants that
 combine it with the threshold and the noise-covariate correlation, and
 end-to-end checks of the prediction-error, selection-count and
 parameter-error bounds on a fitted instance with known ground truth.
@@ -28,7 +28,8 @@ from .forward_select import FitResult
 # constant; an absolute constant, not recomputed.
 GROTHENDIECK_BOUND = 1.783
 
-# Default cap on the number of subsets an exact enumeration may scan.
+# Cap on the number of subsets an exact enumeration may scan; sparse_eig
+# falls back to the descent above it.
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 # Relative slack of the parameter-error chain in verify_theorem1, for
@@ -62,16 +63,14 @@ _NO_PREFIX = np.zeros((1, 0), dtype=np.intp)
 
 @dataclass(frozen=True)
 class SparseEigReport:
-    """Minimum sparse eigenvalue over subsets of size <= s.
-
-    ``method`` is "exact" (true minimum, witness achieves it) or "sampled"
-    (the smallest eigenvalue of the witness found by a local search, hence
-    an UPPER bound on the truth).
+    """Minimum sparse eigenvalue over subsets of size <= s, as the interval
+    [lower, value] that holds it. ``value`` is the smallest eigenvalue of
+    ``witness``, so an upper end; the value is exact when lower == value.
     """
 
     s: int
+    lower: float
     value: float
-    method: str
     witness: tuple[int, ...]
     subsets_examined: int
 
@@ -299,9 +298,7 @@ def _search(
     return best
 
 
-def sparse_eig_exact(
-    g: np.ndarray, s: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> SparseEigReport:
+def sparse_eig_exact(g: np.ndarray, s: int) -> SparseEigReport:
     """Exact minimum s-sparse eigenvalue by screened enumeration.
 
     Only subsets of size k = min(s, p) are candidates (see _subset_size).
@@ -315,13 +312,15 @@ def sparse_eig_exact(
     lexicographically smallest on exact ties) are those of a plain
     enumeration.
 
-    Raises BudgetExceeded when the C(p, k) candidates exceed ``budget``.
+    Raises BudgetExceeded when the C(p, k) candidates exceed
+    DEFAULT_SUBSET_BUDGET.
     """
     p = g.shape[0]
     size = _subset_size(s, p)
     total = math.comb(p, size)
-    if total > budget:
-        raise BudgetExceeded(f"C({p}, {size}) = {total} subsets > budget {budget}", size)
+    if total > DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceeded(
+            f"C({p}, {size}) = {total} subsets > budget {DEFAULT_SUBSET_BUDGET}", size)
 
     best = _lowest(g, _seed_split(g, _partner_groups(g, size))[0])
     if size < p:  # at size = p the one subset is range(p), the one group
@@ -336,10 +335,11 @@ def sparse_eig_exact(
             blocks = ((heads[math.comb(r0 - 1, q) : math.comb(r0, q)],
                        tails[: math.comb(p - r0, m)]) for r0 in range(q, p - m + 1))
         best = _search(g, size, best, blocks)
+    value = max(best[0], 0.0)
     return SparseEigReport(
         s=int(s),
-        value=max(best[0], 0.0),
-        method="exact",
+        lower=value,
+        value=value,
         witness=best[1],
         subsets_examined=total,
     )
@@ -409,7 +409,8 @@ def sparse_eig_sampled(g: np.ndarray, s: int) -> SparseEigReport:
     its most-correlated partners, lowered by an exchange descent.
 
     The value is an upper bound on the exact phi_min(s), since it is the
-    smallest eigenvalue of one size-k submatrix, and is reported as such.
+    smallest eigenvalue of one size-k submatrix; the lower end is 0, since
+    G is positive semidefinite, even where the value happens to be exact.
     The _SEED_GROUPS groups of largest sum |G_S| are solved first and give
     the incumbent (see _seed_split), and the other groups are one block for
     _search, which yields the minimum over all groups with the
@@ -429,11 +430,21 @@ def sparse_eig_sampled(g: np.ndarray, s: int) -> SparseEigReport:
         best, solved = _descend(g, size, best)
     return SparseEigReport(
         s=int(s),
+        lower=0.0,
         value=max(best[0], 0.0),
-        method="sampled",
         witness=best[1],
         subsets_examined=groups.shape[0] + solved,
     )
+
+
+def sparse_eig(g: np.ndarray, s: int) -> SparseEigReport:
+    """phi_min(s) as an interval: exact (lower == value) when its C(p, k)
+    subsets fit DEFAULT_SUBSET_BUDGET, which is known before any work, and
+    otherwise the descent of sparse_eig_sampled, [0, value]."""
+    p = g.shape[0]
+    if math.comb(p, _subset_size(s, p)) > DEFAULT_SUBSET_BUDGET:
+        return sparse_eig_sampled(g, s)
+    return sparse_eig_exact(g, s)
 
 
 def constant_c1(
@@ -485,11 +496,12 @@ def exact_eig_source(g: np.ndarray) -> EigSource:
 
 
 def _exact_eig(eig: EigSource, size: int) -> SparseEigReport:
-    """The exact phi_min(max(size, 1)) from ``eig``; any other method raises."""
+    """The exact phi_min(max(size, 1)) from ``eig``; an interval with
+    lower < value raises."""
     rep = eig(max(size, 1))
-    if rep.method != "exact":
-        raise ValueError(f"bound checks need the exact phi_min({rep.s}), not a "
-                         f"{rep.method} one: a sampled phi only upper-bounds phi_min")
+    if rep.lower < rep.value:
+        raise ValueError(f"bound checks need the exact phi_min({rep.s}), not the "
+                         f"interval [{rep.lower}, {rep.value}] that holds it")
     return rep
 
 

@@ -23,7 +23,6 @@ from fwdreg.cli import (
     read_csv,
 )
 from fwdreg.core_linalg import gram, standardize
-from fwdreg.errors import BudgetExceeded
 from fwdreg.experiment import run_rates
 from fwdreg.forward_select import forward_regression
 from fwdreg.simulate import SimConfig, oracle_threshold, simulate_dataset
@@ -545,10 +544,6 @@ def test_zero_sparse_eigenvalue_rejected(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
-def refuse_exact(g, s):
-    raise BudgetExceeded("over budget", s)
-
-
 @pytest.mark.parametrize(
     "argv, golden, over_budget",
     [
@@ -558,15 +553,17 @@ def refuse_exact(g, s):
          "golden_sparse_eig_exact.json", False),
         (["sparse-eig", "-i", str(DATA / "golden_fit_input.csv"), "--s", "3"],
          "golden_sparse_eig_sampled.json", True),
+        (["compare", "-i", str(DATA / "adversarial_compare.csv"), "-t", "0.05"],
+         "golden_compare_output.json", False),
     ],
-    ids=["verify", "sparse-eig-exact", "sparse-eig-sampled"],
+    ids=["verify", "sparse-eig-exact", "sparse-eig-sampled", "compare"],
 )
 def test_report_matches_golden_file(tmp_path, monkeypatch, argv, golden, over_budget):
     """Pins each report schema: a renamed, dropped or added field changes
-    the bytes. The sampled report is the fallback of an over-budget exact
-    request, forced here on the small golden input."""
+    the bytes. The sampled report is what an over-budget request gets,
+    forced here on the small golden input by a subset budget of 0."""
     if over_budget:
-        monkeypatch.setattr(theory_bounds, "sparse_eig_exact", refuse_exact)
+        monkeypatch.setattr(theory_bounds, "DEFAULT_SUBSET_BUDGET", 0)
     out = tmp_path / "out.json"
     assert main([*argv, "-o", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / golden).read_bytes()
@@ -580,6 +577,21 @@ def test_rates_matches_golden_files(tmp_path, capsys):
                  "-o", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / "golden_rates_output.csv").read_bytes()
     assert capsys.readouterr().out == (DATA / "golden_rates_stdout.json").read_text()
+
+
+def test_rates_with_phi_size_p_checks_no_bound(tmp_path, capsys):
+    """At phi_size = p (p = 4, s0 = 2) the descent solves the one subset,
+    range(p), so its phi happens to be exact; its interval still reads
+    [0, value], so no bound check runs, whose smaller sizes the descent
+    cannot certify, and the CSV is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 40, "p": 4, "s0": 2, "seed": 7}))
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--config", str(cfg), "--n-grid", "20,40,80,160",
+                 "--replications", "3", "-o", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(out, newline="") as fh:
+        assert [row["n"] for row in csv.DictReader(fh)] == ["20", "40", "80", "160"]
 
 
 def test_forked_rates_under_two_blas_threads_match_golden_files(tmp_path):
@@ -666,7 +678,7 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["all_bounds_hold"]
         assert len(report["records"]) == 5
-        assert report["schema_version"] == "3"
+        assert report["schema_version"] == "4"
 
     def test_thread_count_does_not_change_report(self, tmp_path):
         cfg = self._config(tmp_path)
@@ -957,7 +969,7 @@ class TestSparseEigCommand:
         code = main(["sparse-eig", "-i", str(path), "--s", "2", "-o", str(out)])
         assert code == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["method"] == "exact"
+        assert report["lower"] == report["value"]
         assert 0.0 <= report["value"] <= 1.0
         assert len(report["witness"]) == 2
 
@@ -976,8 +988,8 @@ class TestSparseEigCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         report = json.loads(outputs[0])
-        assert report["method"] == "sampled"
-        assert report["upper_bound_only"] is True
+        assert report["lower"] == 0.0 < report["value"]
+        assert "method" not in report and "upper_bound_only" not in report
         assert report["witness_names"] == [f"x{j}" for j in report["witness"]]
         sampled = theory_bounds.sparse_eig_sampled(csv_gram(path), 10)
         assert report["value"] == sampled.value
@@ -985,19 +997,11 @@ class TestSparseEigCommand:
         assert report["subsets_examined"] == sampled.subsets_examined
 
     def test_budget_exceeded_guidance(self, tmp_path, capsys, monkeypatch):
-        # C(30, 12) = 86,493,225 subsets: the exact search is refused up front,
+        # C(30, 12) = 86,493,225 subsets: the exact search is never called,
         # and the report, not an error, tells the user the value is a bound
-        refusals = []
-        exact = theory_bounds.sparse_eig_exact
-
-        def exact_spy(g, s):
-            try:
-                return exact(g, s)
-            except BudgetExceeded as exc:
-                refusals.append(exc.size)
-                raise
-
-        monkeypatch.setattr(theory_bounds, "sparse_eig_exact", exact_spy)
+        calls = []
+        monkeypatch.setattr(theory_bounds, "sparse_eig_exact",
+                            lambda g, s: calls.append(s))
         rng = np.random.default_rng(1)
         path = tmp_path / "wide.csv"
         raw = rng.standard_normal((40, 30))
@@ -1006,11 +1010,10 @@ class TestSparseEigCommand:
         out = tmp_path / "o.json"
         code = main(["sparse-eig", "-i", str(path), "--s", "12", "-o", str(out)])
         assert code == EXIT_OK
-        assert refusals == [12]
+        assert calls == []
         assert capsys.readouterr().err == ""
         report = json.loads(out.read_text())
-        assert report["method"] == "sampled"
-        assert report["upper_bound_only"] is True
+        assert report["lower"] == 0.0 < report["value"]
         assert len(report["witness"]) == 12
 
     def test_small_gram_reports_exact_phi(self, tmp_path):
@@ -1027,8 +1030,7 @@ class TestSparseEigCommand:
         assert main(["sparse-eig", "-i", str(path), "--s", "3",
                      "-o", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["method"] == "exact"
-        assert report["upper_bound_only"] is False
+        assert report["lower"] == report["value"]
         assert report["value"] == pytest.approx(exact.value, abs=1e-12)
         assert tuple(report["witness"]) == exact.witness
 

@@ -63,7 +63,7 @@ class TestForwardRegression:
         ds = Dataset(x=x, y=x @ theta0, theta0=theta0, epsilon=np.zeros(20))
         fr = forward_regression(ds, t=1.0)
         assert fr.support == (0,)
-        assert fr.trace.steps[0].gain == pytest.approx(4.0, rel=1e-10)
+        assert fr.steps[0].gain == pytest.approx(4.0, rel=1e-10)
         assert fr.theta_hat[0] == pytest.approx(2.0, abs=1e-10)
         assert fr.loss == pytest.approx(0.0, abs=1e-12)
         assert fr.pred_error_norm == pytest.approx(0.0, abs=1e-10)
@@ -158,7 +158,7 @@ class TestForwardRegression:
                 break
             support.append(best_j)
             replay.append(best_j)
-        assert [s.index for s in fr.trace.steps] == replay
+        assert [s.index for s in fr.steps] == replay
         theta_replay, _ = least_squares_on_support(ds, support)
         np.testing.assert_allclose(fr.theta_hat, theta_replay, atol=1e-9)
 
@@ -195,9 +195,9 @@ def test_strict_threshold_stopping():
         ds = random_standardized_dataset(rng, 60, 15, s0=3)
         t = 0.05
         fr = forward_regression(ds, t)
-        assert all(s.gain > t for s in fr.trace.steps)
+        assert all(s.gain > t for s in fr.steps)
         state = initial_state(ds)
-        for s in fr.trace.steps:
+        for s in fr.steps:
             state = ortho_extend(state, s.index, ds)
         final_scores = score_all(state)
         finite = final_scores[np.isfinite(final_scores)]
@@ -208,7 +208,7 @@ def test_gain_equal_to_threshold_is_not_selected():
     """Stopping is strict at equality: with t set to the first gain a fit
     records, the same leader and gain come up and the loop stops at once."""
     ds = random_standardized_dataset(np.random.default_rng(12), 60, 15, s0=3)
-    first = forward_regression(ds, 0.05).trace.steps[0].gain
+    first = forward_regression(ds, 0.05).steps[0].gain
     fr = forward_regression(ds, first)
     assert fr.s_hat == 0
     assert fr.support == ()
@@ -219,7 +219,7 @@ def test_greedy_dominance():
     ds = random_standardized_dataset(rng, 50, 10, s0=3)
     fr = forward_regression(ds, t=0.02)
     state = initial_state(ds)
-    for s in fr.trace.steps:
+    for s in fr.steps:
         scores = score_all(state)
         finite_max = np.max(scores[np.isfinite(scores)])
         assert s.gain >= finite_max - 1e-12
@@ -231,7 +231,7 @@ def test_trace_loss_bookkeeping():
     ds = random_standardized_dataset(rng, 80, 20, s0=4)
     fr = forward_regression(ds, t=0.01)
     prev = en_dot(ds.y, ds.y)
-    for s in fr.trace.steps:
+    for s in fr.steps:
         assert s.loss_after == pytest.approx(prev - s.gain, abs=1e-10)
         assert s.loss_after < prev
         prev = s.loss_after
@@ -246,7 +246,7 @@ def test_determinism():
     ds = random_standardized_dataset(rng, 60, 12, s0=3)
     a = forward_regression(ds, t=0.03)
     b = forward_regression(ds, t=0.03)
-    assert a.trace == b.trace
+    assert a.steps == b.steps
     np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
 
 
@@ -284,7 +284,7 @@ def test_near_collinear_gains_match_refits(seed):
     fr = forward_regression(ds, t=1e-6)
     assert {0, 1, 2} <= set(fr.support)
     support: list[int] = []
-    for s in fr.trace.steps:
+    for s in fr.steps:
         _, before = least_squares_on_support(ds, support)
         support.append(s.index)
         _, after = least_squares_on_support(ds, support)
@@ -411,9 +411,9 @@ class TestCarriedCorrelations:
         # extended-precision solves, and no drop left exceeds t
         ds, t = CARRIED_CASES[case][0](), CARRIED_CASES[case][1]
         fr = forward_regression(ds, t)
-        assert fr.trace.steps
+        assert fr.steps
         support: list[int] = []
-        for step in fr.trace.steps + (None,):
+        for step in fr.steps + (None,):
             gains = {j: -naive_delta_loss(ds, support, j)
                      for j in range(ds.p) if j not in support}
             top = max(gains.values())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fwdreg import oracle
 from fwdreg.core_linalg import (
     Dataset,
     en_dot,
@@ -94,11 +95,12 @@ class TestBestSubset:
         losses = [best_subset(ds, k)[1] for k in range(5)]
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         rng = np.random.default_rng(6)
         ds = random_standardized_dataset(rng, 10, 8)
+        monkeypatch.setattr(oracle, "BEST_SUBSET_BUDGET", 10)
         with pytest.raises(BudgetExceeded):
-            best_subset(ds, 3, budget=10)
+            best_subset(ds, 3)
 
     def test_never_beaten_by_greedy(self):
         rng = np.random.default_rng(7)

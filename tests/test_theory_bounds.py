@@ -109,8 +109,7 @@ def test_smallest_matches_stable_argsort(case):
 class TestSparseEigExact:
     def test_identity(self):
         rep = sparse_eig_exact(np.eye(6), 3)
-        assert rep.value == 1.0
-        assert rep.method == "exact"
+        assert rep.lower == rep.value == 1.0
         assert rep.witness == (0, 1, 2)
 
     @pytest.mark.parametrize("s", range(1, 7))
@@ -278,14 +277,16 @@ class TestSparseEigExact:
         assert rep.value == pytest.approx(ref.value, abs=1e-12)
         assert rep.witness == ref.witness
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         with pytest.raises(BudgetExceeded):
             sparse_eig_exact(np.eye(60), 20)
         # the budget counts the C(6, 3) = 20 subsets scanned, not the 41
         # subsets of every size <= 3
-        assert sparse_eig_exact(np.eye(6), 3, budget=20).subsets_examined == 20
+        monkeypatch.setattr(theory_bounds, "DEFAULT_SUBSET_BUDGET", 20)
+        assert sparse_eig_exact(np.eye(6), 3).subsets_examined == 20
+        monkeypatch.setattr(theory_bounds, "DEFAULT_SUBSET_BUDGET", 19)
         with pytest.raises(BudgetExceeded):
-            sparse_eig_exact(np.eye(6), 3, budget=19)
+            sparse_eig_exact(np.eye(6), 3)
 
     def test_monotone_in_s(self):
         rng = np.random.default_rng(1)
@@ -326,7 +327,7 @@ class TestSparseEigSampled:
     def test_identity(self):
         rep = sparse_eig_sampled(np.eye(10), 4)
         assert rep.value == 1.0
-        assert rep.method == "sampled"
+        assert rep.lower == 0.0
 
     def test_descent_reaches_exact_on_small_gram(self):
         # the groups alone stop 39% above the exact value; one swap reaches it
@@ -426,6 +427,39 @@ class TestSparseEigSampled:
         # the descent lowers the groups' value by 14.6%, 5.1%, 1.8% and 0.8%
         assert all(rep.value < 0.99 * low for rep, low in zip(reports[:3], groups))
         assert reports[3].value < groups[3]
+
+
+@st.composite
+def seeded_grams(draw):
+    """The Gram of a standardized Gaussian design at a drawn seed, n and
+    p <= 9 (n < p among them), and s in 1..p+1."""
+    p = draw(st.integers(2, 9))
+    g = random_gram(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                    draw(st.integers(2, 30)), p)
+    return g, draw(st.integers(1, p + 1))
+
+
+class TestSparseEigInterval:
+    """sparse_eig reports phi_min(s) as [lower, value]: the exact value
+    within the subset budget, the descent's upper end and 0 over it."""
+
+    @given(st.one_of(integer_grams(), seeded_grams()))
+    def test_within_budget_is_exact(self, case):
+        g, s = case
+        rep = theory_bounds.sparse_eig(g, s)
+        assert rep == sparse_eig_exact(g, s)
+        assert rep.lower == rep.value
+        assert rep.value == pytest.approx(sparse_eig_bruteforce(g, s).value, abs=1e-12)
+
+    @given(st.one_of(integer_grams(), seeded_grams()))
+    def test_over_budget_brackets_the_exact_value(self, case):
+        g, s = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theory_bounds, "DEFAULT_SUBSET_BUDGET", 0)
+            rep = theory_bounds.sparse_eig(g, s)
+        assert rep == sparse_eig_sampled(g, s)
+        # the descent's eigh and the enumeration's eigvalsh round apart on ties
+        assert rep.lower == 0.0 <= sparse_eig_bruteforce(g, s).value <= rep.value + 1e-9
 
 
 class TestExchangeDescent:
@@ -673,8 +707,7 @@ class TestExactEigenvaluesOnly:
             return sparse_eig_sampled(g, size)
 
         with pytest.raises(ValueError, match=(
-                rf"exact phi_min\({fr.s_hat + 2}\), not a sampled one: "
-                r"a sampled phi only upper-bounds phi_min")):
+                rf"exact phi_min\({fr.s_hat + 2}\), not the interval \[0\.0, ")):
             verify_theorem1(fr, ds, t, sampled)
 
     def test_every_count_size_checked(self):
@@ -687,5 +720,5 @@ class TestExactEigenvaluesOnly:
                 return sparse_eig_exact(g, size)
             return sparse_eig_sampled(g, size)
 
-        with pytest.raises(ValueError, match=r"exact phi_min\(2\), not a sampled one"):
+        with pytest.raises(ValueError, match=r"exact phi_min\(2\), not the interval \[0\.0, "):
             verify_theorem1(fr, ds, t, mixed)
